@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .reps import ext1_dim, euler_form, hom_dim
-from .singularity import classify
+from .singularity import classify, scan_rows
 from .windows import decompose_nilpotent, is_nilpotent, realize
 
 _PARSE_ERRORS = (
@@ -66,9 +66,14 @@ def _exits(fn):
     return wrapper
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None = None) -> None:
+    # Not click.echo: click caches a wrapper per stdout object in a
+    # WeakKeyDictionary whose value is the stream itself for text streams, so
+    # every stdout it ever wrote to (StringIO under redirect_stdout or
+    # CliRunner) stays alive with all of its contents.
     if out is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -95,7 +100,7 @@ def cmd_hom(left, right):
     """Hom dimension between two representation (or windows) files."""
     v = formats.load_rep_or_windows(left)
     w = formats.load_rep_or_windows(right)
-    click.echo(str(hom_dim(v, w)))
+    _write_output(f"{hom_dim(v, w)}\n")
 
 
 @main.command("ext")
@@ -106,7 +111,7 @@ def cmd_ext(left, right):
     """Ext^1 dimension between two representation (or windows) files."""
     v = formats.load_rep_or_windows(left)
     w = formats.load_rep_or_windows(right)
-    click.echo(str(ext1_dim(v, w)))
+    _write_output(f"{ext1_dim(v, w)}\n")
 
 
 @main.command("euler")
@@ -117,7 +122,7 @@ def cmd_ext(left, right):
 def cmd_euler(quiver_file, dvec, evec):
     """Euler form of two dimension vectors over the quiver in FILE."""
     q = formats.load_quiver(quiver_file)
-    click.echo(str(euler_form(q, _parse_dims(dvec), _parse_dims(evec))))
+    _write_output(f"{euler_form(q, _parse_dims(dvec), _parse_dims(evec))}\n")
 
 
 @main.command("decompose")
@@ -152,7 +157,7 @@ def cmd_degenerates(m_file, n_file):
     """Print true/false: does the first class degenerate to the second?"""
     m = formats.load_windows(m_file)
     nn = formats.load_windows(n_file)
-    click.echo("true" if dg.degenerates(m, nn) else "false")
+    _write_output(("true" if dg.degenerates(m, nn) else "false") + "\n")
 
 
 @main.command("codim")
@@ -163,7 +168,7 @@ def cmd_codim(m_file, n_file):
     """Codimension of the degeneration from the first class to the second."""
     m = formats.load_windows(m_file)
     nn = formats.load_windows(n_file)
-    click.echo(str(dg.codim(m, nn)))
+    _write_output(f"{dg.codim(m, nn)}\n")
 
 
 @main.command("classify")
@@ -179,7 +184,7 @@ def cmd_classify(m_file, n_file, trace_path):
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             fh.write(formats.canonical_dumps(trace.to_obj()))
-    click.echo(str(result))
+    _write_output(f"{result}\n")
 
 
 @main.command("hasse")
@@ -226,98 +231,33 @@ def cmd_scan(max_n, max_dim):
     """
     if max_n < 1 or max_dim < 1:
         raise ParseError("--max-n and --max-dim must be at least 1")
-    rows = []
+    lines = [
+        f"{'n':>3} {'dim':<12} {'classes':>8} {'codim2':>7} {'Reg':>6} {'A_r':>6} {'Unres':>6}"
+    ]
+    totals = {"classes": 0, "codim2": 0, "reg": 0, "a": 0, "unresolved": 0}
     unresolved_pairs = []
     c_emitted = False
-    for summary in scan_rows(max_n, max_dim):
-        rows.append(summary)
-        unresolved_pairs.extend(summary["unresolved_pairs"])
-        c_emitted = c_emitted or summary["c_count"] > 0
-    header = f"{'n':>3} {'dim':<12} {'classes':>8} {'codim2':>7} {'Reg':>6} {'A_r':>6} {'Unres':>6}"
-    click.echo(header)
-    totals = {"classes": 0, "codim2": 0, "reg": 0, "a": 0, "unresolved": 0}
-    for row in rows:
+    for row in scan_rows(max_n, max_dim):
         dim_str = "(" + ",".join(str(x) for x in row["dim"]) + ")"
-        click.echo(
+        lines.append(
             f"{row['n']:>3} {dim_str:<12} {row['classes']:>8} {row['codim2']:>7} "
             f"{row['reg']:>6} {row['a']:>6} {row['unresolved']:>6}"
         )
         for key in totals:
             totals[key] += row[key]
-    click.echo(
+        unresolved_pairs.extend(row["unresolved_pairs"])
+        c_emitted = c_emitted or row["c_count"] > 0
+    lines.append(
         f"{'':>3} {'TOTAL':<12} {totals['classes']:>8} {totals['codim2']:>7} "
         f"{totals['reg']:>6} {totals['a']:>6} {totals['unresolved']:>6}"
     )
     if unresolved_pairs:
-        click.echo("unresolved pairs:")
-        for n, m, nn in unresolved_pairs:
-            click.echo(f"  n={n}  {m!r} -> {nn!r}")
+        lines.append("unresolved pairs:")
+        lines.extend(f"  n={n}  {m!r} -> {nn!r}" for n, m, nn in unresolved_pairs)
     else:
-        click.echo("no unresolved pairs")
-    click.echo("no C-type labels emitted" if not c_emitted else "C-TYPE EMITTED (BUG)")
-
-
-def _dim_vectors(n: int, max_total: int):
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == n:
-            yield tuple(acc)
-            return
-        for value in range(remaining + 1):
-            acc.append(value)
-            yield from rec(pos + 1, remaining - value, acc)
-            acc.pop()
-
-    for total in range(1, max_total + 1):
-        for vec in rec(0, total, []):
-            if sum(vec) == total:
-                yield vec
-
-
-def scan_rows(max_n: int, max_dim: int):
-    """Per-dimension-vector classification tallies; shared by CLI and tests."""
-    for n in range(1, max_n + 1):
-        for d in _dim_vectors(n, max_dim):
-            nodes = dg.enumerate_nilpotent(n, d)
-            total = sum(d)
-            ts = dg.TestSet.up_to(n, total)
-            profiles = [dg.hom_profile(node, ts) for node in nodes]
-            from .windows import multiset_hom_dim
-
-            self_hom = [multiset_hom_dim(node, node) for node in nodes]
-            reg = a_count = c_count = unresolved = codim2 = 0
-            unresolved_pairs = []
-            for x in range(len(nodes)):
-                for y in range(len(nodes)):
-                    if x == y:
-                        continue
-                    if self_hom[y] - self_hom[x] != 2:
-                        continue
-                    if not all(
-                        p <= q for p, q in zip(profiles[x], profiles[y])
-                    ):
-                        continue
-                    codim2 += 1
-                    verdict, _ = classify(nodes[x], nodes[y])
-                    if verdict.kind == "Reg":
-                        reg += 1
-                    elif verdict.kind == "A":
-                        a_count += 1
-                    elif verdict.kind == "C":
-                        c_count += 1
-                    else:
-                        unresolved += 1
-                        unresolved_pairs.append((n, nodes[x], nodes[y]))
-            yield {
-                "n": n,
-                "dim": d,
-                "classes": len(nodes),
-                "codim2": codim2,
-                "reg": reg,
-                "a": a_count,
-                "c_count": c_count,
-                "unresolved": unresolved,
-                "unresolved_pairs": unresolved_pairs,
-            }
+        lines.append("no unresolved pairs")
+    lines.append("no C-type labels emitted" if not c_emitted else "C-TYPE EMITTED (BUG)")
+    _write_output("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ of self-Hom dimensions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +73,31 @@ def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
     return multiset_hom_dim(nn, nn) - multiset_hom_dim(m, m)
 
 
+def _fill(n, candidates, dim_vectors, idx, remaining, chosen, results) -> None:
+    """Append every multiset of candidates[idx:] filling remaining to results.
+
+    A module-level function rather than a closure: a recursive closure refers
+    to itself and keeps its whole frame alive until a cyclic collection.
+    """
+    if not any(remaining):
+        results.append(WindowMultiset(n, list(chosen)))
+        return
+    if idx == len(candidates):
+        return
+    dv = dim_vectors[idx]
+    max_fit = min(
+        (rem // need for rem, need in zip(remaining, dv) if need),
+        default=0,
+    )
+    for count in range(max_fit + 1):
+        if count:
+            chosen.extend([candidates[idx]] * count)
+        rest = tuple(rem - count * need for rem, need in zip(remaining, dv))
+        _fill(n, candidates, dim_vectors, idx + 1, rest, chosen, results)
+        if count:
+            del chosen[-count:]
+
+
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     """All window multisets with dimension vector d, deterministically ordered."""
     d = tuple(int(x) for x in d)
@@ -94,30 +118,7 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     dim_vectors = [w.dim_vector() for w in candidates]
 
     results: list[WindowMultiset] = []
-    chosen: list[Window] = []
-
-    def search(idx: int, remaining: tuple[int, ...]) -> None:
-        if not any(remaining):
-            results.append(WindowMultiset(n, list(chosen)))
-            return
-        if idx == len(candidates):
-            return
-        dv = dim_vectors[idx]
-        max_fit = min(
-            (rem // need for rem, need in zip(remaining, dv) if need),
-            default=0,
-        )
-        for count in range(max_fit + 1):
-            if count:
-                chosen.extend([candidates[idx]] * count)
-            search(
-                idx + 1,
-                tuple(rem - count * need for rem, need in zip(remaining, dv)),
-            )
-            if count:
-                del chosen[-count:]
-
-    search(0, d)
+    _fill(n, candidates, dim_vectors, 0, d, [], results)
     results.sort(key=lambda ms: ms.sort_key())
     return results
 
@@ -138,24 +139,45 @@ class HasseDiagram:
     edges: tuple[HasseEdge, ...]
 
 
-def _profile_table(nodes, n, total):
-    ts = TestSet.up_to(n, total)
-    return [hom_profile(node, ts) for node in nodes]
-
-
 def _below_masks(profiles) -> list[int]:
-    """bit b set in mask[a] iff node a degenerates to node b (same dim vector)."""
-    k = len(profiles)
-    masks = [0] * k
-    for a in range(k):
-        mask = 0
-        pa = profiles[a]
-        for b in range(k):
-            pb = profiles[b]
-            if all(x <= y for x, y in zip(pa, pb)):
-                mask |= 1 << b
-        masks[a] = mask
+    """bit b set in mask[a] iff profiles[a] <= profiles[b] componentwise.
+
+    Built one profile coordinate at a time: at_least[v] is the bitset of the
+    nodes whose entry there is at least v, and each mask keeps the nodes in
+    at_least of its own entry.
+    """
+    masks = [(1 << len(profiles)) - 1] * len(profiles)
+    for column in zip(*profiles):
+        exact: dict[int, int] = {}
+        for b, v in enumerate(column):
+            exact[v] = exact.get(v, 0) | (1 << b)
+        at_least, acc = {}, 0
+        for v in sorted(exact, reverse=True):
+            acc |= exact[v]
+            at_least[v] = acc
+        masks = [mask & at_least[v] for mask, v in zip(masks, column)]
     return masks
+
+
+def poset(n: int, d: Sequence[int]):
+    """The degeneration order on classes with dimension vector d.
+
+    Returns (nodes, self_hom, below): the classes in enumeration order, their
+    self-Hom dimensions, and bitsets with bit b of below[a] set iff node a
+    degenerates to node b (reflexive).
+    """
+    nodes = enumerate_nilpotent(n, d)
+    ts = TestSet.up_to(n, sum(d))
+    below = _below_masks([hom_profile(node, ts) for node in nodes])
+    return nodes, [multiset_hom_dim(node, node) for node in nodes], below
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def hasse(
@@ -166,33 +188,22 @@ def hasse(
     Edges run from the bigger orbit (upper) to the smaller one and carry the
     codimension. With annotate=True, codimension-1 edges are labelled Reg
     and codimension-2 edges get the singularity classifier's verdict.
+
+    The covers are the transitive reduction of the order (Aho, Garey and
+    Ullman, SIAM J. Comput. 1, 1972): a covers exactly the nodes strictly
+    below it that lie strictly below none of its other strict successors.
     """
     d = tuple(int(x) for x in d)
-    nodes = enumerate_nilpotent(n, d)
-    total = sum(d)
-    profiles = _profile_table(nodes, n, total)
-    self_hom = [multiset_hom_dim(node, node) for node in nodes]
-    below = _below_masks(profiles)
-    k = len(nodes)
+    nodes, self_hom, below = poset(n, d)
+    strict = [mask & ~(1 << a) for a, mask in enumerate(below)]
     edges: list[HasseEdge] = []
-    for a in range(k):
-        strict = below[a] & ~(1 << a)
-        for b in range(k):
-            if not (strict >> b) & 1:
-                continue
-            others = strict & ~(1 << b)
-            is_cover = True
-            c = others
-            while c:
-                low = c & (-c)
-                mid = low.bit_length() - 1
-                if (below[mid] >> b) & 1:
-                    is_cover = False
-                    break
-                c ^= low
-            if is_cover:
-                edges.append(HasseEdge(a, b, self_hom[b] - self_hom[a]))
-    edges.sort(key=lambda e: (e.upper, e.lower))
+    for a, mask in enumerate(strict):
+        reach = 0
+        for m in _bits(mask):
+            reach |= strict[m]
+        edges.extend(
+            HasseEdge(a, b, self_hom[b] - self_hom[a]) for b in _bits(mask & ~reach)
+        )
     if annotate:
         edges = _annotate_edges(nodes, edges, jobs)
     return HasseDiagram(n, d, tuple(nodes), tuple(edges))

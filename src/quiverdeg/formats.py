@@ -38,11 +38,16 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false must not read as 1/0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def quiver_from_obj(obj: dict) -> Quiver:
     if not isinstance(obj, dict):
         raise ParseError("quiver: expected an object")
     count = _require(obj, "vertex_count", "quiver")
-    if not isinstance(count, int) or count < 0:
+    if not _is_int(count) or count < 0:
         raise ParseError("quiver.vertex_count: expected a nonnegative integer")
     arrows_obj = _require(obj, "arrows", "quiver")
     if not isinstance(arrows_obj, list):
@@ -57,7 +62,7 @@ def quiver_from_obj(obj: dict) -> Quiver:
         target = _require(a, "target", ctx)
         if not isinstance(name, str):
             raise ParseError(f"{ctx}.id: expected a string")
-        if not isinstance(source, int) or not isinstance(target, int):
+        if not _is_int(source) or not _is_int(target):
             raise ParseError(f"{ctx}: source and target must be integers")
         arrows.append(Arrow(name, source, target))
     try:
@@ -100,9 +105,11 @@ def rep_from_obj(obj: dict) -> Representation:
     quiver = quiver_from_obj(_require(obj, "quiver", "representation"))
     dims_obj = _require(obj, "dims", "representation")
     if not isinstance(dims_obj, list) or not all(
-        isinstance(d, int) and d >= 0 for d in dims_obj
+        _is_int(d) and d >= 0 for d in dims_obj
     ):
         raise ParseError("dims: expected a list of nonnegative integers")
+    if len(dims_obj) != quiver.vertex_count:
+        raise ParseError(f"dims: expected {quiver.vertex_count} entries, one per vertex")
     matrices_obj = _require(obj, "matrices", "representation")
     if not isinstance(matrices_obj, dict):
         raise ParseError("matrices: expected an object keyed by arrow id")
@@ -139,7 +146,7 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
     if not isinstance(obj, dict):
         raise ParseError("windows: expected an object")
     n = _require(obj, "n", "windows")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError("windows.n: expected a positive integer")
     wins = _require(obj, "windows", "windows")
     if not isinstance(wins, list):
@@ -149,7 +156,7 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
         if (
             not isinstance(w, list)
             or len(w) != 2
-            or not all(isinstance(x, int) for x in w)
+            or not all(_is_int(x) for x in w)
         ):
             raise ParseError(f"windows.windows[{idx}]: expected a pair [i, j]")
         if w[0] > w[1]:

@@ -18,6 +18,7 @@ recording further quotient steps.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -31,7 +32,7 @@ from .errors import (
     SocleNotEmbeddable,
     TopNotLiftable,
 )
-from .degeneration import codim, degenerates
+from .degeneration import codim, poset
 from .linalg import parse_rational
 from .windows import WindowMultiset
 
@@ -235,11 +236,12 @@ def terminal_classify(m: WindowMultiset, nn: WindowMultiset) -> SingularityType:
 
 
 def _checked_codim(m: WindowMultiset, nn: WindowMultiset) -> int:
-    if not degenerates(m, nn):
+    try:
+        return codim(m, nn)
+    except NotADegeneration:
         raise Inconsistent(
             f"reduction produced a non-degenerating pair {m!r} -> {nn!r}"
-        )
-    return codim(m, nn)
+        ) from None
 
 
 def classify(
@@ -253,11 +255,7 @@ def classify(
     summands, relabel to the terminal pattern and read off A_r; with more
     than two summands the pair is reported Unresolved.
     """
-    if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
-    if not degenerates(m, nn):
-        raise NotADegeneration(f"{m!r} does not degenerate to {nn!r}")
-    current = codim(m, nn)
+    current = codim(m, nn)  # raises RankMismatch or NotADegeneration
     if current > 2:
         raise OutOfScope(f"codimension {current} exceeds 2")
     trace = ReductionTrace(m.n, m, nn, current)
@@ -305,6 +303,46 @@ def classify(
         break
     trace.result = result
     return result, trace
+
+
+def _dim_vectors(n: int, max_total: int):
+    """Dimension vectors of rank n, by total 1..max_total, then lexicographically."""
+    for total in range(1, max_total + 1):
+        for vec in itertools.product(range(total + 1), repeat=n):
+            if sum(vec) == total:
+                yield vec
+
+
+def scan_rows(max_n: int, max_dim: int):
+    """Per-dimension-vector tallies of the verdicts on all codim-2 pairs.
+
+    For each rank n <= max_n and dimension vector of total <= max_dim, every
+    ordered pair of classes with codimension exactly 2 is classified; pairs
+    come in the order (upper, lower) of their node indices.
+    """
+    tally_key = {"Reg": "reg", "A": "a", "C": "c_count"}
+    for n in range(1, max_n + 1):
+        for d in _dim_vectors(n, max_dim):
+            nodes, self_hom, below = poset(n, d)
+            tally = {"reg": 0, "a": 0, "c_count": 0, "unresolved": 0}
+            unresolved_pairs = []
+            for x, mask in enumerate(below):
+                for y, hom in enumerate(self_hom):
+                    if hom - self_hom[x] != 2 or not (mask >> y) & 1:
+                        continue
+                    verdict, _ = classify(nodes[x], nodes[y])
+                    key = tally_key.get(verdict.kind, "unresolved")
+                    tally[key] += 1
+                    if key == "unresolved":
+                        unresolved_pairs.append((n, nodes[x], nodes[y]))
+            yield {
+                "n": n,
+                "dim": d,
+                "classes": len(nodes),
+                "codim2": sum(tally.values()),
+                **tally,
+                "unresolved_pairs": unresolved_pairs,
+            }
 
 
 def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:

@@ -1,4 +1,9 @@
+import contextlib
+import gc
+import hashlib
+import io
 import json
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -235,6 +240,62 @@ def test_parse_error_names_field(runner, tmp_path):
     assert "windows" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, obj, field",
+    [
+        (
+            "decompose",
+            {
+                "quiver": {"vertex_count": 2, "arrows": [{"id": "a1", "source": 1, "target": 2}]},
+                "dims": [1],
+                "matrices": {"a1": [[0]]},
+            },
+            "dims",
+        ),
+        (
+            "decompose",
+            {
+                "quiver": {"vertex_count": 1, "arrows": []},
+                "dims": [True],
+                "matrices": {},
+            },
+            "dims",
+        ),
+        (
+            "decompose",
+            {
+                "quiver": {"vertex_count": True, "arrows": []},
+                "dims": [1],
+                "matrices": {},
+            },
+            "quiver.vertex_count",
+        ),
+        (
+            "decompose",
+            {
+                "quiver": {
+                    "vertex_count": 2,
+                    "arrows": [{"id": "a1", "source": True, "target": 2}],
+                },
+                "dims": [1, 1],
+                "matrices": {"a1": [[0]]},
+            },
+            "quiver.arrows[0]",
+        ),
+        ("realize", {"n": True, "windows": [[1, 1]]}, "windows.n"),
+        ("realize", {"n": 2, "windows": [[True, 2]]}, "windows.windows[0]"),
+    ],
+    ids=["short-dims", "bool-dims", "bool-vertex-count", "bool-source", "bool-n",
+         "bool-endpoint"],
+)
+def test_hostile_input_exits_2_naming_the_field(runner, tmp_path, command, obj, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert field in result.output
+
+
 def test_missing_file_exits_2(runner):
     result = runner.invoke(main, ["codim", "nope.json", "nada.json"])
     assert result.exit_code == 2
@@ -286,3 +347,30 @@ def test_scan_deterministic(runner):
     one = runner.invoke(main, ["scan", "--max-n", "2", "--max-dim", "3"])
     two = runner.invoke(main, ["scan", "--max-n", "2", "--max-dim", "3"])
     assert one.output == two.output
+
+
+# SHA-256 of the annotated (3,3,3) diagram, recorded before the bitset covers.
+HASSE_333_SHA256 = {
+    "dot": "9d1d46f29245dabfeaeffce62b46fe4b7adc02173cae30dc020472bc4323fb18",
+    "json": "2733b95bbe7dbb54f962f9f22aa67e03de404a61e047c31ae23004c669dd7ad4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HASSE_333_SHA256))
+def test_hasse_333_annotated_bytes_are_pinned(runner, fmt):
+    result = runner.invoke(
+        main, ["hasse", "--n", "3", "--dim", "3,3,3", "--annotate", "--format", fmt]
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == HASSE_333_SHA256[fmt]
+
+
+def test_in_process_call_does_not_keep_its_stdout_alive():
+    out = io.StringIO()
+    alive = weakref.ref(out)
+    with contextlib.redirect_stdout(out):
+        main.main(["hasse", "--n", "2", "--dim", "1,1"], standalone_mode=False)
+    assert out.getvalue().startswith("digraph")
+    del out
+    gc.collect()
+    assert alive() is None

@@ -1,10 +1,14 @@
+import gc
 import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverdeg.degeneration import (
     HasseDiagram,
+    _below_masks,
     TestSet as ProbeSet,
     codim,
     cover_witness,
@@ -305,6 +309,65 @@ def test_json_output_round_trips():
     text = json.dumps(obj, sort_keys=True)
     assert json.loads(text) == obj
     assert len(obj["nodes"]) == 3
+
+
+# Small entries and short rows make ties and duplicate rows common.
+_profile_tables = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[st.integers(0, 3)] * width), max_size=12
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_tables)
+@example([])
+@example([()])
+@example([(), (), ()])
+@example([(2, 1)])
+@example([(1, 2), (1, 2), (0, 3), (1, 3)])
+def test_below_masks_match_componentwise_order(rows):
+    expected = [
+        sum(
+            1 << b
+            for b, other in enumerate(rows)
+            if all(x <= y for x, y in zip(row, other))
+        )
+        for row in rows
+    ]
+    assert _below_masks(rows) == expected
+
+
+def test_hasse_edges_are_the_naive_covers():
+    for n in (1, 2, 3):
+        for total in range(1, 6):
+            for dims in _dim_vectors(n, total):
+                nodes = enumerate_nilpotent(n, dims)
+                k = range(len(nodes))
+                below = [
+                    [a != b and degenerates(nodes[a], nodes[b]) for b in k]
+                    for a in k
+                ]
+                covers = [
+                    (a, b, codim(nodes[a], nodes[b]))
+                    for a in k
+                    for b in k
+                    if below[a][b] and not any(below[a][c] and below[c][b] for c in k)
+                ]
+                diagram = hasse(n, dims)
+                assert list(diagram.nodes) == nodes
+                got = [(e.upper, e.lower, e.codim) for e in diagram.edges]
+                assert got == covers, (n, dims)
+
+
+def test_enumerate_nilpotent_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_nilpotent(3, (3, 3, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_annotation_jobs_parallel_matches_serial():

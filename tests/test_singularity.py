@@ -14,6 +14,7 @@ from quiverdeg.errors import (
 )
 from quiverdeg.singularity import (
     SingularityType,
+    _checked_codim,
     cancel_common,
     classify,
     model_variety_membership,
@@ -198,8 +199,14 @@ def test_classify_equal_pair_cancels_to_empty():
 
 
 def test_classify_rejects_non_degeneration():
-    with pytest.raises(NotADegeneration):
+    with pytest.raises(NotADegeneration, match="does not degenerate to"):
         classify(ws(2, (1, 2), (2, 3)), ws(2, (1, 4)))
+
+
+def test_checked_codim_reports_a_non_degenerating_step_as_inconsistent():
+    with pytest.raises(Inconsistent, match="reduction produced a non-degenerating pair"):
+        _checked_codim(ws(2, (1, 2), (2, 3)), ws(2, (1, 4)))
+    assert _checked_codim(ws(2, (1, 4)), ws(2, (1, 2), (2, 3))) == 2
 
 
 def test_classify_rejects_codim_above_two():
