@@ -8,12 +8,8 @@ from .errors import (
     Error,
     Inconsistent,
     LengthMismatch,
-    NoEmbedding,
     NotADegeneration,
-    NotAMorphism,
     NotCyclic,
-    NotInjective,
-    NotInvariant,
     NotNilpotent,
     OutOfScope,
     ParseError,
@@ -23,19 +19,15 @@ from .errors import (
     SocleNotEmbeddable,
     TopNotLiftable,
 )
-from .linalg import RatMatrix, Rational, format_rational, parse_rational, quotient_matrices
+from .linalg import RatMatrix, format_rational, parse_rational
 from .reps import (
     Arrow,
-    HomElement,
     Quiver,
     Representation,
-    cokernel_rep,
     direct_sum,
     dual,
     ext1_dim,
     euler_form,
-    generic_quotient,
-    hom_basis,
     hom_dim,
     orbit_dim,
 )
@@ -43,7 +35,6 @@ from .windows import (
     SimpleMultiset,
     Window,
     WindowMultiset,
-    canonicalize,
     cyclic_quiver,
     decompose_nilpotent,
     is_cyclic_quiver,
@@ -58,7 +49,6 @@ from .degeneration import (
     HasseEdge,
     TestSet,
     codim,
-    cover_witness,
     degenerates,
     enumerate_nilpotent,
     hasse,
@@ -74,7 +64,6 @@ from .singularity import (
     classify,
     model_variety_membership,
     socle_reduce,
-    terminal_classify,
     top_reduce,
 )
 

@@ -32,17 +32,22 @@ from .reps import ext1_dim, euler_form, hom_dim
 from .singularity import classify, scan_rows
 from .windows import decompose_nilpotent, is_nilpotent, realize
 
-_PARSE_ERRORS = (
-    ParseError,
-    ShapeMismatch,
-    QuiverMismatch,
-    LengthMismatch,
-    BadWindow,
-    RankMismatch,
-    BadResidue,
-    BadArity,
-    NotCyclic,
-)
+# Exit code of each error a command reports; any other error is a bug and
+# ends in a traceback.
+_EXIT_CODES = {
+    ParseError: 2,
+    ShapeMismatch: 2,
+    QuiverMismatch: 2,
+    LengthMismatch: 2,
+    BadWindow: 2,
+    RankMismatch: 2,
+    BadResidue: 2,
+    BadArity: 2,
+    NotCyclic: 2,
+    NotNilpotent: 3,
+    NotADegeneration: 4,
+    OutOfScope: 5,
+}
 
 
 def _exits(fn):
@@ -50,18 +55,12 @@ def _exits(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _PARSE_ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except NotNilpotent as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-        except NotADegeneration as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except OutOfScope as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(5)
+        except tuple(_EXIT_CODES) as exc:
+            # Not click.echo(err=True), for the reason given in _write_output.
+            sys.stderr.write(f"error: {exc}\n")
+            sys.stderr.flush()
+            code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+            sys.exit(code)
 
     return wrapper
 

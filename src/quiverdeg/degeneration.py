@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import LengthMismatch, NotADegeneration, RankMismatch
-from .reps import default_seed, generic_quotient, hom_dim
-from .windows import (
-    Window,
-    WindowMultiset,
-    decompose_nilpotent,
-    multiset_hom_dim,
-    realize,
-    window_hom_dim,
-)
+from .windows import Window, WindowMultiset, multiset_hom_dim, window_hom_dim
 
 
 @dataclass(frozen=True)
@@ -279,55 +271,3 @@ def to_json_obj(diagram: HasseDiagram) -> dict:
             for e in diagram.edges
         ],
     }
-
-
-def _sub_multisets(ms: WindowMultiset):
-    """All nonempty proper sub-multisets, deterministically ordered."""
-    items = sorted(ms.counter().items(), key=lambda kv: (kv[0].i, kv[0].j))
-    counts = [c for _, c in items]
-
-    def rec(idx: int, acc: list[Window]):
-        if idx == len(items):
-            yield list(acc)
-            return
-        w, c = items[idx]
-        for take in range(c + 1):
-            acc.extend([w] * take)
-            yield from rec(idx + 1, acc)
-            if take:
-                del acc[-take:]
-
-    for sub in rec(0, []):
-        if sub and len(sub) < ms.summand_count():
-            yield WindowMultiset(ms.n, sub)
-
-
-def cover_witness(
-    upper: WindowMultiset,
-    lower: WindowMultiset,
-    seed: int | None = None,
-    attempts: int = 24,
-):
-    """Search a short exact sequence witnessing a minimal degeneration.
-
-    Looks for a splitting lower = U + V and an embedding of U into the upper
-    class whose generic cokernel decomposes as V. Best effort: the sampling
-    is seeded and reproducible, and a None result does not refute existence.
-    """
-    if seed is None:
-        seed = default_seed()
-    upper_rep = realize(upper)
-    for sub in _sub_multisets(lower):
-        quot = lower.difference(sub)
-        if quot.is_empty():
-            continue
-        sub_rep = realize(sub)
-        if hom_dim(sub_rep, upper_rep) == 0:
-            continue
-        try:
-            cok = generic_quotient(sub_rep, upper_rep, seed=seed, attempts=attempts)
-        except Exception:
-            continue
-        if decompose_nilpotent(cok) == quot:
-            return sub, quot
-    return None

@@ -25,22 +25,6 @@ class LengthMismatch(Error):
     """A dimension vector has the wrong number of components."""
 
 
-class NotInvariant(Error):
-    """A map carries the selected subspace outside itself."""
-
-
-class NotAMorphism(Error):
-    """A candidate morphism fails the intertwining condition."""
-
-
-class NotInjective(Error):
-    """A vertex block of a morphism has a nontrivial kernel."""
-
-
-class NoEmbedding(Error):
-    """No injective morphism was found within the sampling budget."""
-
-
 class NotCyclic(Error):
     """The quiver is not a cyclic quiver in the canonical orientation."""
 

@@ -25,7 +25,7 @@ from typing import Any
 from .errors import ParseError
 from .linalg import RatMatrix, format_rational, parse_rational
 from .reps import Arrow, Quiver, Representation
-from .windows import WindowMultiset
+from .windows import WindowMultiset, realize
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -189,8 +189,6 @@ def load_rep(path: str) -> Representation:
 
 def load_rep_or_windows(path: str):
     """Return a Representation from either file kind (windows are realized)."""
-    from .windows import realize
-
     obj = load_json(path)
     if isinstance(obj, dict) and "windows" in obj and "quiver" not in obj:
         return realize(windows_from_obj(obj))

@@ -13,10 +13,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import NotInvariant
-
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -91,9 +87,6 @@ class RatMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def transpose(self) -> "RatMatrix":
         ent = [
             self.entries[i * self.cols + j]
@@ -104,17 +97,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def scale(self, c) -> "RatMatrix":
-        c = c if isinstance(c, Fraction) else parse_rational(c)
-        return RatMatrix(self.rows, self.cols, (c * e for e in self.entries))
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix sum")
-        return RatMatrix(
-            self.rows, self.cols, (a + b for a, b in zip(self.entries, other.entries))
-        )
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -174,6 +156,7 @@ class RatMatrix:
             return 0
         return _bareiss_rank(self._int_rows(), self.cols)
 
+    # Test oracle: an elimination independent of Bareiss to check rank() by.
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the null space; list length is always cols - rank."""
         rows = self.row_list()
@@ -230,6 +213,7 @@ def _bareiss_rank(rows: list[list[int]], ncols: int) -> int:
     return rank
 
 
+# Test oracle: the tests check rank() and decompose_nilpotent against it.
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
     """In-place reduced row echelon form; returns the pivot columns."""
     pivots: list[int] = []
@@ -257,96 +241,3 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
         if r == nrows:
             break
     return pivots
-
-
-def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse of a square matrix; raises ValueError if singular."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    aug = []
-    for i in range(n):
-        row = list(m.entries[i * n : (i + 1) * n])
-        row.extend(_ONE if j == i else _ZERO for j in range(n))
-        aug.append(row)
-    pivots = _rref(aug, n)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return RatMatrix(n, n, (aug[i][n + j] for i in range(n) for j in range(n)))
-
-
-def extend_to_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> RatMatrix:
-    """Complete independent vectors to a basis of the ambient space.
-
-    Returns the invertible dim x dim matrix whose first columns are the
-    given vectors, the rest filled with standard basis vectors chosen
-    greedily in index order.
-    """
-    cols = [tuple(parse_rational(x) for x in v) for v in vectors]
-    if any(len(v) != dim for v in cols):
-        raise ValueError("basis vector length does not match ambient dimension")
-
-    reduced: list[tuple[list[Fraction], int]] = []
-
-    def absorb(vec) -> bool:
-        row = list(vec)
-        for prow, pcol in reduced:
-            c = row[pcol]
-            if c:
-                row = [a - c * b for a, b in zip(row, prow)]
-        pivot = next((idx for idx, x in enumerate(row) if x), None)
-        if pivot is None:
-            return False
-        lead = row[pivot]
-        if lead != 1:
-            row = [x / lead for x in row]
-        reduced.append((row, pivot))
-        return True
-
-    for v in cols:
-        if not absorb(v):
-            raise ValueError("subspace basis vectors are linearly dependent")
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        unit = tuple(_ONE if j == i else _ZERO for j in range(dim))
-        if absorb(unit):
-            cols.append(unit)
-    entries = [cols[c][r] for r in range(dim) for c in range(dim)]
-    return RatMatrix(dim, dim, entries)
-
-
-def quotient_matrices(
-    subspace_basis: Sequence[Sequence[Fraction]],
-    ambient_dim: int,
-    maps: Sequence[RatMatrix],
-) -> list[RatMatrix]:
-    """Express endomorphisms on the quotient by an invariant subspace.
-
-    The subspace basis is completed to a full basis; each map, rewritten in
-    that basis, must keep the subspace inside itself (otherwise NotInvariant)
-    and its lower-right block is the induced map on the quotient, of size
-    ambient_dim - len(subspace_basis).
-    """
-    for m in maps:
-        if m.rows != ambient_dim or m.cols != ambient_dim:
-            raise ValueError("quotient maps must be endomorphisms of the ambient space")
-    k = len(subspace_basis)
-    if k == 0:
-        return list(maps)
-    p = extend_to_basis(subspace_basis, ambient_dim)
-    p_inv = invert(p)
-    q = ambient_dim - k
-    out = []
-    for idx, m in enumerate(maps):
-        t = p_inv @ m @ p
-        for r in range(k, ambient_dim):
-            for c in range(k):
-                if t.at(r, c) != 0:
-                    raise NotInvariant(
-                        f"map {idx} carries the subspace outside itself"
-                    )
-        out.append(
-            RatMatrix(q, q, (t.at(k + r, k + c) for r in range(q) for c in range(q)))
-        )
-    return out

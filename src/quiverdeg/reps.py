@@ -9,33 +9,14 @@ path algebras are hereditary.
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import (
-    LengthMismatch,
-    NoEmbedding,
-    NotAMorphism,
-    NotInjective,
-    QuiverMismatch,
-    ShapeMismatch,
-)
+from .errors import LengthMismatch, QuiverMismatch, ShapeMismatch
 from .linalg import RatMatrix
 
 _ZERO = Fraction(0)
-
-DEFAULT_SEED = 1729
-
-
-def default_seed() -> int:
-    """Sampling seed; the QUIVERDEG_SEED environment variable overrides it."""
-    raw = os.environ.get("QUIVERDEG_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -65,12 +46,6 @@ class Quiver:
             if a.name in seen:
                 raise ValueError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
-
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise KeyError(name)
 
     def opposite(self) -> "Quiver":
         return Quiver(
@@ -128,11 +103,6 @@ class Representation:
         ]
         return cls(quiver, dims, mats)
 
-    def validate(self) -> "Representation":
-        """Re-check all shape invariants; identity on valid input."""
-        Representation(self.quiver, self.dims, self.matrices)
-        return self
-
     def matrix(self, arrow_name: str) -> RatMatrix:
         for a, m in zip(self.quiver.arrows, self.matrices):
             if a.name == arrow_name:
@@ -156,16 +126,6 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims})"
-
-
-@dataclass(frozen=True)
-class HomElement:
-    """A morphism between two representations: one matrix block per vertex."""
-
-    blocks: tuple[RatMatrix, ...]
-
-    def block(self, vertex: int) -> RatMatrix:
-        return self.blocks[vertex - 1]
 
 
 def _require_same_quiver(v: Representation, w: Representation) -> None:
@@ -221,36 +181,6 @@ def ext1_dim(v: Representation, w: Representation) -> int:
     return equations - sysmat.rank()
 
 
-def hom_basis(v: Representation, w: Representation) -> list[HomElement]:
-    """A basis of Hom(v, w) as per-vertex matrix blocks."""
-    _require_same_quiver(v, w)
-    _, _, sysmat = _hom_system(v, w)
-    dv, dw = v.dims, w.dims
-    basis = []
-    for vec in sysmat.kernel_basis():
-        blocks = []
-        pos = 0
-        for i in range(len(dv)):
-            size = dv[i] * dw[i]
-            blocks.append(RatMatrix(dw[i], dv[i], vec[pos : pos + size]))
-            pos += size
-        basis.append(HomElement(tuple(blocks)))
-    return basis
-
-
-def is_morphism(f: HomElement, v: Representation, w: Representation) -> bool:
-    if len(f.blocks) != v.quiver.vertex_count:
-        return False
-    for i, b in enumerate(f.blocks):
-        if (b.rows, b.cols) != (w.dims[i], v.dims[i]):
-            return False
-    for a, va in zip(v.quiver.arrows, v.matrices):
-        wa = w.matrix(a.name)
-        if f.blocks[a.target - 1] @ va != wa @ f.blocks[a.source - 1]:
-            return False
-    return True
-
-
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """Bilinear form sum_i d_i e_i - sum_arrows d_source e_target.
 
@@ -297,103 +227,3 @@ def dual(v: Representation) -> Representation:
     return Representation(
         v.quiver.opposite(), v.dims, tuple(m.transpose() for m in v.matrices)
     )
-
-
-def cokernel_rep(
-    f: HomElement, u: Representation, m: Representation
-) -> Representation:
-    """Quotient of m by the image of an injective morphism f: u -> m."""
-    _require_same_quiver(u, m)
-    if not is_morphism(f, u, m):
-        raise NotAMorphism("the given blocks do not intertwine the arrow maps")
-    n = u.quiver.vertex_count
-    changes = []
-    for i in range(n):
-        block = f.blocks[i]
-        if block.rank() != u.dims[i]:
-            raise NotInjective(f"vertex {i + 1} block has a nontrivial kernel")
-        cols = [block.column(j) for j in range(block.cols)]
-        if cols:
-            from .linalg import extend_to_basis, invert
-
-            p = extend_to_basis(cols, m.dims[i])
-            changes.append((p, invert(p), u.dims[i]))
-        else:
-            changes.append((None, None, 0))
-    new_dims = tuple(m.dims[i] - u.dims[i] for i in range(n))
-    mats = []
-    for a, ma in zip(m.quiver.arrows, m.matrices):
-        s, t = a.source - 1, a.target - 1
-        pt, pt_inv, kt = changes[t]
-        ps, _, ks = changes[s]
-        trans = ma
-        if ps is not None:
-            trans = trans @ ps
-        if pt_inv is not None:
-            trans = pt_inv @ trans
-        qr, qc = new_dims[t], new_dims[s]
-        ent = [trans.at(kt + r, ks + c) for r in range(qr) for c in range(qc)]
-        mats.append(RatMatrix(qr, qc, ent))
-    return Representation(m.quiver, new_dims, mats)
-
-
-def _combine(basis: Sequence[HomElement], coeffs: Sequence[Fraction]) -> HomElement:
-    blocks = list(basis[0].blocks)
-    blocks = [b.scale(coeffs[0]) for b in blocks]
-    for el, c in zip(basis[1:], coeffs[1:]):
-        if c:
-            blocks = [acc + b.scale(c) for acc, b in zip(blocks, el.blocks)]
-    return HomElement(tuple(blocks))
-
-
-def _is_injective(f: HomElement, u: Representation) -> bool:
-    return all(
-        f.blocks[i].rank() == u.dims[i] for i in range(u.quiver.vertex_count)
-    )
-
-
-def generic_quotient(
-    u: Representation,
-    m: Representation,
-    seed: int | None = None,
-    attempts: int = 32,
-) -> Representation:
-    """Cokernel of a generic embedding of u into m, found by seeded sampling.
-
-    Random rational combinations of a Hom basis are drawn; among the
-    injective ones, the cokernel whose class dominates the others in the
-    degeneration order is returned (for cyclic quivers with nilpotent
-    cokernels), falling back to the sample of maximal orbit dimension. This
-    is a best-effort, reproducible stand-in for genericity over an
-    algebraically closed field; it is verification tooling, never a step of
-    the singularity classifier.
-    """
-    _require_same_quiver(u, m)
-    basis = hom_basis(u, m)
-    if not basis:
-        raise NoEmbedding("the Hom space is zero")
-    rng = random.Random(default_seed() if seed is None else seed)
-    samples: list[Representation] = []
-    for _ in range(attempts):
-        coeffs = [Fraction(rng.randint(-4, 4)) for _ in basis]
-        if not any(coeffs):
-            continue
-        f = _combine(basis, coeffs)
-        if _is_injective(f, u):
-            samples.append(cokernel_rep(f, u, m))
-    if not samples:
-        raise NoEmbedding(f"no injective morphism found in {attempts} samples")
-
-    from .windows import decompose_nilpotent, is_cyclic_quiver, is_nilpotent
-
-    if is_cyclic_quiver(m.quiver) and all(is_nilpotent(s) for s in samples):
-        from .degeneration import degenerates
-
-        classes = [decompose_nilpotent(s) for s in samples]
-        distinct = sorted(set(classes), key=lambda ms: ms.sort_key())
-        for cls in distinct:
-            if all(degenerates(cls, other) for other in distinct):
-                return samples[classes.index(cls)]
-    by_self_hom = [(hom_dim(s, s), idx) for idx, s in enumerate(samples)]
-    by_self_hom.sort()
-    return samples[by_self_hom[0][1]]

@@ -223,18 +223,6 @@ def _terminal_lengths(
     return a, b, c
 
 
-def terminal_classify(m: WindowMultiset, nn: WindowMultiset) -> SingularityType:
-    """A_r verdict for the irreducible pattern: one window versus two.
-
-    The pattern is a single window of length a*n against two windows of
-    lengths b*n and c*n with the same socle residue and a = b + c. After
-    relabelling, it is the nilpotent one-Jordan-block-versus-two situation;
-    codimension 2 forces min(b, c) = 1 and the type is A_max(b,c).
-    """
-    _, b, c = _terminal_lengths(m, nn)
-    return SingularityType.a_type(max(b, c))
-
-
 def _checked_codim(m: WindowMultiset, nn: WindowMultiset) -> int:
     try:
         return codim(m, nn)

@@ -110,11 +110,6 @@ class Window:
         return f"({self.i},{self.j})"
 
 
-def canonicalize(w: Window) -> Window:
-    """Unique shift of the window with 1 <= i <= n."""
-    return w.canonical()
-
-
 class SimpleMultiset:
     """Multiset of simple classes, stored as per-residue multiplicities."""
 
@@ -137,12 +132,6 @@ class SimpleMultiset:
 
     def total(self) -> int:
         return sum(self.counts)
-
-    def as_windows(self) -> "WindowMultiset":
-        entries = []
-        for r, c in enumerate(self.counts):
-            entries.extend([Window(self.n, r + 1, r + 1)] * c)
-        return WindowMultiset(self.n, entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleMultiset):

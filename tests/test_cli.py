@@ -374,3 +374,15 @@ def test_in_process_call_does_not_keep_its_stdout_alive():
     del out
     gc.collect()
     assert alive() is None
+
+
+def test_in_process_failure_does_not_keep_its_stderr_alive():
+    err = io.StringIO()
+    alive = weakref.ref(err)
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        main.main(["hasse", "--n", "2", "--dim", "1"], standalone_mode=False)
+    assert exited.value.code == 2
+    assert err.getvalue() == "error: --dim must list 2 nonnegative integers, got '1'\n"
+    del err
+    gc.collect()
+    assert alive() is None

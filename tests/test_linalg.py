@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverdeg.errors import NotInvariant
-from quiverdeg.linalg import (
-    RatMatrix,
-    extend_to_basis,
-    format_rational,
-    invert,
-    parse_rational,
-    quotient_matrices,
-)
+from quiverdeg.linalg import RatMatrix, format_rational, parse_rational
 
 
 def test_parse_rational_forms():
@@ -144,44 +136,3 @@ def test_matmul_and_apply():
     b = RatMatrix.from_rows([[1, 0], [3, 1]])
     assert (a @ b) == RatMatrix.from_rows([[7, 2], [3, 1]])
     assert a.apply((1, 1)) == (Fraction(3), Fraction(1))
-
-
-def test_invert_round_trip():
-    m = RatMatrix.from_rows([[2, 1], [1, 1]])
-    assert invert(m) @ m == RatMatrix.identity(2)
-    with pytest.raises(ValueError):
-        invert(RatMatrix.from_rows([[1, 2], [2, 4]]))
-
-
-def test_extend_to_basis_completes():
-    p = extend_to_basis([(Fraction(1), Fraction(1))], 2)
-    assert p.rank() == 2
-    assert p.column(0) == (Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        extend_to_basis([(1, 0), (2, 0)], 2)
-
-
-def test_quotient_whole_space_is_zero_dimensional():
-    basis = [(1, 0), (0, 1)]
-    maps = [RatMatrix.from_rows([[1, 2], [3, 4]])]
-    (q,) = quotient_matrices(basis, 2, maps)
-    assert (q.rows, q.cols) == (0, 0)
-
-
-def test_quotient_trivial_subspace_keeps_maps():
-    maps = [RatMatrix.from_rows([[1, 2], [3, 4]])]
-    out = quotient_matrices([], 2, maps)
-    assert out == maps
-    assert out[0].rank() == maps[0].rank()
-
-
-def test_quotient_jordan_block_by_image():
-    jordan = RatMatrix.from_rows([[0, 1], [0, 0]])
-    (q,) = quotient_matrices([(1, 0)], 2, [jordan])
-    assert q == RatMatrix.from_rows([[0]])
-
-
-def test_quotient_rejects_non_invariant_subspace():
-    swap = RatMatrix.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(NotInvariant):
-        quotient_matrices([(1, 0)], 2, [swap])

@@ -3,28 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdeg.errors import (
-    LengthMismatch,
-    NoEmbedding,
-    NotInjective,
-    QuiverMismatch,
-    ShapeMismatch,
-)
+from quiverdeg.errors import LengthMismatch, QuiverMismatch, ShapeMismatch
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import (
     Arrow,
-    HomElement,
     Quiver,
     Representation,
-    cokernel_rep,
     direct_sum,
     dual,
     ext1_dim,
     euler_form,
-    generic_quotient,
-    hom_basis,
     hom_dim,
-    is_morphism,
     orbit_dim,
 )
 from quiverdeg.windows import Window, WindowMultiset, cyclic_quiver, decompose_nilpotent, realize
@@ -47,12 +36,15 @@ def jordan_block(size):
 
 def test_validate_zero_rep():
     rep = Representation.zero(KRONECKER, (2, 3))
-    assert rep.validate() is rep
+    assert Representation(rep.quiver, rep.dims, rep.matrices) == rep
+    assert [(m.rows, m.cols) for m in rep.matrices] == [(3, 2), (3, 2)]
 
 
 def test_validate_loop_square():
     rep = loop_rep([[0, 1], [0, 0]])
-    assert rep.validate() is rep
+    assert Representation(rep.quiver, rep.dims, rep.matrices) == rep
+    with pytest.raises(ShapeMismatch, match="1x1 matrix, got 2x2"):
+        Representation(LOOP, (1,), rep.matrices)
 
 
 def test_validate_rejects_transposed_shape():
@@ -209,88 +201,3 @@ def test_dual_of_window_is_single_window():
     decomposed = decompose_nilpotent(renamed)
     assert decomposed.summand_count() == 1
     assert decomposed.windows[0].length == 4
-
-
-def test_hom_basis_elements_are_morphisms(rng):
-    for _ in range(5):
-        n = rng.choice([1, 2])
-        v = realize(random_multiset(rng, n))
-        w = realize(random_multiset(rng, n))
-        basis = hom_basis(v, w)
-        assert len(basis) == hom_dim(v, w)
-        for f in basis:
-            assert is_morphism(f, v, w)
-
-
-def test_cokernel_by_zero_subrep():
-    m = jordan_block(2)
-    u = Representation.zero(LOOP, (0,))
-    f = HomElement((RatMatrix.zero(2, 0),))
-    assert cokernel_rep(f, u, m) == m
-
-
-def test_cokernel_socle_of_jordan_two():
-    u = jordan_block(1)
-    m = jordan_block(2)
-    f = HomElement((RatMatrix.from_rows([[1], [0]]),))
-    cok = cokernel_rep(f, u, m)
-    assert decompose_nilpotent(cok) == WindowMultiset(1, [(1, 1)])
-
-
-def test_cokernel_simple_in_cyclic_window():
-    n = 2
-    u = realize(WindowMultiset(n, [(1, 1)]))
-    m = realize(WindowMultiset(n, [(1, 2)]))
-    (f,) = hom_basis(u, m)
-    cok = cokernel_rep(f, u, m)
-    assert decompose_nilpotent(cok) == WindowMultiset(n, [(2, 2)])
-
-
-def test_cokernel_rejects_non_injective():
-    u = jordan_block(1)
-    m = jordan_block(2)
-    f = HomElement((RatMatrix.zero(2, 1),))
-    with pytest.raises(NotInjective):
-        cokernel_rep(f, u, m)
-
-
-def test_generic_quotient_socle_embedding():
-    n = 2
-    u = realize(WindowMultiset(n, [(1, 1)]))
-    m = realize(WindowMultiset(n, [(1, 2)]))
-    q = generic_quotient(u, m, seed=7)
-    assert decompose_nilpotent(q) == WindowMultiset(n, [(2, 2)])
-
-
-def test_generic_quotient_by_full_socle(rng):
-    # quotient by the socle is unique whatever embedding is sampled
-    ms = WindowMultiset(2, [(1, 2), (2, 3)])
-    m = realize(ms)
-    u = realize(ms.socle().as_windows())
-    q = generic_quotient(u, m, seed=11)
-    expected = ms.quotient_by_socle(ms.socle().residues())
-    assert decompose_nilpotent(q) == expected
-
-
-def test_generic_quotient_no_embedding():
-    u = jordan_block(3)
-    m = jordan_block(2)
-    with pytest.raises(NoEmbedding):
-        generic_quotient(u, m, seed=3)
-
-
-def test_generic_quotient_deterministic():
-    u = realize(WindowMultiset(1, [(1, 1)]))
-    m = realize(WindowMultiset(1, [(1, 3)]))
-    a = generic_quotient(u, m, seed=5)
-    b = generic_quotient(u, m, seed=5)
-    assert a == b
-
-
-def test_env_var_overrides_default_seed(monkeypatch):
-    from quiverdeg.reps import DEFAULT_SEED, default_seed
-
-    monkeypatch.delenv("QUIVERDEG_SEED", raising=False)
-    assert default_seed() == DEFAULT_SEED
-    monkeypatch.setenv("QUIVERDEG_SEED", "99")
-    assert default_seed() == 99

@@ -15,11 +15,11 @@ from quiverdeg.errors import (
 from quiverdeg.singularity import (
     SingularityType,
     _checked_codim,
+    _terminal_lengths,
     cancel_common,
     classify,
     model_variety_membership,
     socle_reduce,
-    terminal_classify,
     top_reduce,
 )
 from quiverdeg.windows import WindowMultiset
@@ -138,26 +138,25 @@ def test_top_reduce_is_dual_of_socle_reduce(rng):
 
 
 def test_terminal_worked_example():
-    got = terminal_classify(ws(2, (0, 3)), ws(2, (0, 1), (0, 1)))
-    assert got == SingularityType.a_type(1)
+    assert _terminal_lengths(ws(2, (0, 3)), ws(2, (0, 1), (0, 1))) == (2, 1, 1)
 
 
 def test_terminal_loop_family():
-    assert terminal_classify(
-        ws(1, (1, 5)), ws(1, (1, 1), (1, 4))
-    ) == SingularityType.a_type(4)
+    got, trace = classify(ws(1, (1, 5)), ws(1, (1, 1), (1, 4)))
+    assert got == SingularityType.a_type(4)
+    assert trace.steps[-1].lengths == (5, 1, 4)
 
 
 def test_terminal_rejects_codim_four_pattern():
-    with pytest.raises(Inconsistent):
-        terminal_classify(ws(1, (1, 4)), ws(1, (1, 2), (1, 2)))
+    with pytest.raises(Inconsistent, match="codimension 2\\*min"):
+        _terminal_lengths(ws(1, (1, 4)), ws(1, (1, 2), (1, 2)))
 
 
 def test_terminal_rejects_malformed_patterns():
-    with pytest.raises(Inconsistent):
-        terminal_classify(ws(2, (1, 2), (1, 2)), ws(2, (1, 1), (1, 3)))
-    with pytest.raises(Inconsistent):
-        terminal_classify(ws(2, (1, 4)), ws(2, (1, 2), (2, 3)))
+    with pytest.raises(Inconsistent, match="single window"):
+        _terminal_lengths(ws(2, (1, 2), (1, 2)), ws(2, (1, 1), (1, 3)))
+    with pytest.raises(Inconsistent, match="socle residue"):
+        _terminal_lengths(ws(2, (1, 4)), ws(2, (1, 2), (2, 3)))
 
 
 # ---------------------------------------------------------------- classify
@@ -268,9 +267,8 @@ def test_terminal_agrees_with_classify_on_its_pattern():
     for n, b, c in ((1, 1, 3), (2, 1, 2), (3, 1, 1)):
         m = ws(n, (1, n * (b + c)))
         nn = ws(n, (1, n * b), (1, n * c))
-        direct = terminal_classify(m, nn)
         via_classify, trace = classify(m, nn)
-        assert direct == via_classify
+        assert via_classify == SingularityType.a_type(max(b, c))
         assert trace.steps[-1].kind == "terminal"
 
 
