@@ -60,6 +60,7 @@ from .singularity import (
     ReductionStep,
     ReductionTrace,
     SingularityType,
+    annotate,
     cancel_common,
     classify,
     model_variety_membership,

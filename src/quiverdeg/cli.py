@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/shape errors, 3 nilpotency violations,
-4 order violations (not a degeneration), 5 scope violations (codim > 2).
+Exit codes: 0 success, 2 parse/shape errors and unreadable or unwritable
+files, 3 nilpotency violations, 4 order violations (not a degeneration),
+5 scope violations (codim > 2).
 All outputs are byte-deterministic for identical inputs and flags.
 """
 
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .reps import ext1_dim, euler_form, hom_dim
-from .singularity import classify, scan_rows
+from .singularity import annotate, classify, scan_rows
 from .windows import decompose_nilpotent, is_nilpotent, realize
 
 # Exit code of each error a command reports; any other error is a bug and
@@ -73,9 +74,12 @@ def _write_output(text: str, out: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
         sys.stdout.flush()
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
@@ -181,8 +185,7 @@ def cmd_classify(m_file, n_file, trace_path):
     nn = formats.load_windows(n_file)
     result, trace = classify(m, nn)
     if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            fh.write(formats.canonical_dumps(trace.to_obj()))
+        _write_output(formats.canonical_dumps(trace.to_obj()), trace_path)
     _write_output(f"{result}\n")
 
 
@@ -196,11 +199,12 @@ def cmd_classify(m_file, n_file, trace_path):
     default="dot",
     show_default=True,
 )
-@click.option("--annotate", is_flag=True, help="label codim 1/2 edges")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--annotate", "annotated", is_flag=True, help="label codim 1/2 edges")
+# Annotation is serial; --jobs 1 is still accepted for callers that pass it.
+@click.option("--jobs", hidden=True, expose_value=False, type=click.IntRange(1, 1))
 @click.option("-o", "--output", default=None, help="write to file instead of stdout")
 @_exits
-def cmd_hasse(rank, dim_raw, fmt, annotate, jobs, output):
+def cmd_hasse(rank, dim_raw, fmt, annotated, output):
     """Hasse diagram of the degeneration order for one dimension vector."""
     dims = _parse_dims(dim_raw)
     if rank < 1:
@@ -209,7 +213,9 @@ def cmd_hasse(rank, dim_raw, fmt, annotate, jobs, output):
         raise ParseError(
             f"--dim must list {rank} nonnegative integers, got {dim_raw!r}"
         )
-    diagram = dg.hasse(rank, dims, annotate=annotate, jobs=jobs)
+    diagram = dg.hasse(rank, dims)
+    if annotated:
+        diagram = annotate(diagram)
     if fmt == "dot":
         _write_output(dg.to_dot(diagram), output)
     else:

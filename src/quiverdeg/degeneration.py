@@ -172,14 +172,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-def hasse(
-    n: int, d: Sequence[int], annotate: bool = False, jobs: int = 1
-) -> HasseDiagram:
+def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     """Covering relations of the degeneration order on classes with vector d.
 
     Edges run from the bigger orbit (upper) to the smaller one and carry the
-    codimension. With annotate=True, codimension-1 edges are labelled Reg
-    and codimension-2 edges get the singularity classifier's verdict.
+    codimension, unlabelled; singularity.annotate adds the labels.
 
     The covers are the transitive reduction of the order (Aho, Garey and
     Ullman, SIAM J. Comput. 1, 1972): a covers exactly the nodes strictly
@@ -196,45 +193,7 @@ def hasse(
         edges.extend(
             HasseEdge(a, b, self_hom[b] - self_hom[a]) for b in _bits(mask & ~reach)
         )
-    if annotate:
-        edges = _annotate_edges(nodes, edges, jobs)
     return HasseDiagram(n, d, tuple(nodes), tuple(edges))
-
-
-def _classify_tag(pair):
-    from .singularity import classify
-
-    m, nn = pair
-    return str(classify(m, nn)[0])
-
-
-def _annotate_edges(nodes, edges, jobs: int) -> list[HasseEdge]:
-    tasks = [
-        (idx, (nodes[e.upper], nodes[e.lower]))
-        for idx, e in enumerate(edges)
-        if e.codim == 2
-    ]
-    labels: dict[int, str] = {}
-    if jobs > 1 and tasks:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (idx, _), tag in zip(
-                tasks, pool.map(_classify_tag, [t[1] for t in tasks])
-            ):
-                labels[idx] = tag
-    else:
-        for idx, pair in tasks:
-            labels[idx] = _classify_tag(pair)
-    out = []
-    for idx, e in enumerate(edges):
-        if e.codim == 1:
-            out.append(HasseEdge(e.upper, e.lower, e.codim, "Reg"))
-        elif e.codim == 2:
-            out.append(HasseEdge(e.upper, e.lower, e.codim, labels[idx]))
-        else:
-            out.append(e)
-    return out
 
 
 def _node_label(ms: WindowMultiset) -> str:

@@ -19,7 +19,7 @@ recording further quotient steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,7 +32,7 @@ from .errors import (
     SocleNotEmbeddable,
     TopNotLiftable,
 )
-from .degeneration import codim, poset
+from .degeneration import HasseDiagram, codim, poset
 from .linalg import parse_rational
 from .windows import WindowMultiset
 
@@ -117,11 +117,6 @@ class ReductionTrace:
     start_codim: int
     steps: list[ReductionStep] = field(default_factory=list)
     result: SingularityType | None = None
-
-    def pairs(self) -> list[tuple[WindowMultiset, WindowMultiset]]:
-        out = [(self.start_m, self.start_n)]
-        out.extend((s.m, s.n) for s in self.steps)
-        return out
 
     def to_obj(self) -> dict:
         return {
@@ -331,6 +326,23 @@ def scan_rows(max_n: int, max_dim: int):
                 **tally,
                 "unresolved_pairs": unresolved_pairs,
             }
+
+
+def annotate(diagram: HasseDiagram) -> HasseDiagram:
+    """The diagram with its covers labelled by the singularity type.
+
+    Codimension-1 covers are Reg and codimension-2 covers get the verdict of
+    classify; deeper covers stay unlabelled.
+    """
+    edges = []
+    for e in diagram.edges:
+        if e.codim == 1:
+            e = replace(e, label="Reg")
+        elif e.codim == 2:
+            upper, lower = diagram.nodes[e.upper], diagram.nodes[e.lower]
+            e = replace(e, label=str(classify(upper, lower)[0]))
+        edges.append(e)
+    return replace(diagram, edges=tuple(edges))
 
 
 def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:

@@ -88,6 +88,7 @@ class Window:
             for v in range(1, self.n + 1)
         )
 
+    # Test oracle: the vertex-rotation symmetry classify is checked against.
     def shift(self, c: int) -> "Window":
         return Window(self.n, self.i + c, self.j + c)
 
@@ -129,9 +130,6 @@ class SimpleMultiset:
 
     def residues(self) -> set[int]:
         return {r + 1 for r, c in enumerate(self.counts) if c}
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleMultiset):
@@ -232,10 +230,12 @@ class WindowMultiset:
                 out.append(w)
         return WindowMultiset(self.n, out)
 
+    # Test oracle: the vertex-rotation symmetry classify is checked against.
     def shift(self, c: int) -> "WindowMultiset":
         """Relabel vertices by adding c to every window index."""
         return WindowMultiset(self.n, [w.shift(c) for w in self.windows])
 
+    # Test oracle: the duality symmetry classify is checked against.
     def dual(self) -> "WindowMultiset":
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
         return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])

@@ -386,3 +386,39 @@ def test_in_process_failure_does_not_keep_its_stderr_alive():
     del err
     gc.collect()
     assert alive() is None
+
+
+def assert_clean_exit_2(result, path):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {path}: " in result.output
+    assert "Traceback" not in result.output
+
+
+def test_hasse_unwritable_output_exits_2(runner, tmp_path):
+    out = tmp_path / "missing" / "dir" / "x.dot"
+    result = runner.invoke(main, ["hasse", "--n", "1", "--dim", "2", "-o", str(out)])
+    assert_clean_exit_2(result, out)
+
+
+def test_classify_unwritable_trace_exits_2(runner, tmp_path):
+    m = write_windows(tmp_path / "m.json", 1, [(1, 2)])
+    nn = write_windows(tmp_path / "n.json", 1, [(1, 1), (1, 1)])
+    trace = tmp_path / "missing" / "dir" / "t.json"
+    result = runner.invoke(main, ["classify", m, nn, "--trace", str(trace)])
+    assert_clean_exit_2(result, trace)
+
+
+def test_hasse_jobs_is_a_hidden_compatibility_flag(runner):
+    args = ["hasse", "--n", "3", "--dim", "2,2,2", "--annotate"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    with_jobs = runner.invoke(main, args + ["--jobs", "1"])
+    assert with_jobs.exit_code == 0
+    assert with_jobs.stdout == plain.stdout
+    rejected = runner.invoke(main, args + ["--jobs", "2"])
+    assert rejected.exit_code == 2
+    assert "--jobs" in rejected.output
+    help_text = runner.invoke(main, ["hasse", "--help"]).output
+    assert "--annotate" in help_text
+    assert "--jobs" not in help_text

@@ -1,11 +1,14 @@
+import ast
 import gc
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quiverdeg import degeneration
 from quiverdeg.degeneration import (
     HasseDiagram,
     _below_masks,
@@ -19,6 +22,7 @@ from quiverdeg.degeneration import (
     to_json_obj,
 )
 from quiverdeg.errors import NotADegeneration, RankMismatch
+from quiverdeg.singularity import annotate
 from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
 
 from conftest import random_multiset
@@ -237,7 +241,7 @@ def test_right_hom_profiles_follow_by_duality(rng):
 
 
 def test_hasse_loop_dim_two():
-    diagram = hasse(1, (2,), annotate=True)
+    diagram = annotate(hasse(1, (2,)))
     assert len(diagram.nodes) == 2
     (edge,) = diagram.edges
     assert edge.codim == 2
@@ -294,8 +298,8 @@ def test_codim_telescopes_along_chains():
 
 
 def test_dot_output_deterministic():
-    one = to_dot(hasse(1, (3,), annotate=True))
-    two = to_dot(hasse(1, (3,), annotate=True))
+    one = to_dot(annotate(hasse(1, (3,))))
+    two = to_dot(annotate(hasse(1, (3,))))
     assert one == two
     assert "c=2, A2" in one
     assert "c=4" in one
@@ -303,7 +307,7 @@ def test_dot_output_deterministic():
 
 
 def test_json_output_round_trips():
-    diagram = hasse(2, (1, 1), annotate=True)
+    diagram = annotate(hasse(2, (1, 1)))
     obj = to_json_obj(diagram)
     text = json.dumps(obj, sort_keys=True)
     assert json.loads(text) == obj
@@ -369,7 +373,15 @@ def test_enumerate_nilpotent_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_annotation_jobs_parallel_matches_serial():
-    serial = hasse(1, (4,), annotate=True, jobs=1)
-    parallel = hasse(1, (4,), annotate=True, jobs=2)
-    assert serial == parallel
+def test_degeneration_imports_neither_the_classifier_nor_a_pool():
+    path = Path(degeneration.__file__)
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+            names.extend(alias.name for alias in node.names)
+    assert names
+    forbidden = {"singularity", "concurrent"}
+    assert not [name for name in names if forbidden & set(name.split("."))]

@@ -249,7 +249,7 @@ def test_trace_validity_invariants():
     pairs = list(_all_codim2_pairs(2, (2, 2))) + list(_all_codim2_pairs(2, (2, 1)))
     for m, nn in pairs:
         _, trace = classify(m, nn)
-        chain = trace.pairs()
+        chain = [(trace.start_m, trace.start_n)] + [(s.m, s.n) for s in trace.steps]
         codims = [trace.start_codim] + [s.codim for s in trace.steps]
         dims = [chain[0][0].total_dim()]
         for (cm, cn), value in zip(chain, codims):
