@@ -31,7 +31,7 @@ from .errors import (
 )
 from .reps import ext1_dim, euler_form, hom_dim
 from .singularity import annotate, classify, scan_rows
-from .windows import decompose_nilpotent, is_nilpotent, realize
+from .windows import decompose_nilpotent, realize
 
 # Exit code of each error a command reports; any other error is a bug and
 # ends in a traceback.
@@ -134,10 +134,7 @@ def cmd_euler(quiver_file, dvec, evec):
 @_exits
 def cmd_decompose(rep_file, output):
     """Decompose a nilpotent cyclic-quiver representation into windows."""
-    rep = formats.load_rep(rep_file)
-    if not is_nilpotent(rep):
-        raise NotNilpotent("the representation is not nilpotent")
-    ms = decompose_nilpotent(rep)
+    ms = decompose_nilpotent(formats.load_rep(rep_file))
     _write_output(formats.canonical_dumps(formats.windows_to_obj(ms)), output)
 
 

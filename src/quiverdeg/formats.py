@@ -113,14 +113,14 @@ def rep_from_obj(obj: dict) -> Representation:
     matrices_obj = _require(obj, "matrices", "representation")
     if not isinstance(matrices_obj, dict):
         raise ParseError("matrices: expected an object keyed by arrow id")
-    mats = {}
+    mats = []
     for a in quiver.arrows:
         if a.name not in matrices_obj:
             raise ParseError(f"matrices.{a.name}: missing")
         rows = dims_obj[a.target - 1]
         cols = dims_obj[a.source - 1]
-        mats[a.name] = _matrix_from_obj(
-            matrices_obj[a.name], rows, cols, f"matrices.{a.name}"
+        mats.append(
+            _matrix_from_obj(matrices_obj[a.name], rows, cols, f"matrices.{a.name}")
         )
     extra = set(matrices_obj) - {a.name for a in quiver.arrows}
     if extra:
@@ -175,7 +175,9 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, undecodable bytes and integer
+        # literals past the interpreter's digit limit; RecursionError deep nesting.
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import LengthMismatch, QuiverMismatch, ShapeMismatch
 from .linalg import RatMatrix
@@ -55,7 +55,7 @@ class Quiver:
 
 
 class Representation:
-    """Per-vertex dimensions plus one exact rational matrix per arrow."""
+    """Per-vertex dimensions plus one rational matrix per arrow, in arrow order."""
 
     __slots__ = ("quiver", "dims", "matrices")
 
@@ -63,7 +63,7 @@ class Representation:
         self,
         quiver: Quiver,
         dims: Sequence[int],
-        matrices: Sequence[RatMatrix] | Mapping[str, RatMatrix],
+        matrices: Sequence[RatMatrix],
     ) -> None:
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.vertex_count:
@@ -72,17 +72,11 @@ class Representation:
             )
         if any(d < 0 for d in dims):
             raise ShapeMismatch("dimensions must be nonnegative")
-        if isinstance(matrices, Mapping):
-            missing = [a.name for a in quiver.arrows if a.name not in matrices]
-            if missing:
-                raise ShapeMismatch(f"missing matrix for arrow {missing[0]!r}")
-            mats = tuple(matrices[a.name] for a in quiver.arrows)
-        else:
-            mats = tuple(matrices)
-            if len(mats) != len(quiver.arrows):
-                raise ShapeMismatch(
-                    f"expected {len(quiver.arrows)} matrices, got {len(mats)}"
-                )
+        mats = tuple(matrices)
+        if len(mats) != len(quiver.arrows):
+            raise ShapeMismatch(
+                f"expected {len(quiver.arrows)} matrices, got {len(mats)}"
+            )
         for a, m in zip(quiver.arrows, mats):
             want = (dims[a.target - 1], dims[a.source - 1])
             if (m.rows, m.cols) != want:
@@ -102,12 +96,6 @@ class Representation:
             for a in quiver.arrows
         ]
         return cls(quiver, dims, mats)
-
-    def matrix(self, arrow_name: str) -> RatMatrix:
-        for a, m in zip(self.quiver.arrows, self.matrices):
-            if a.name == arrow_name:
-                return m
-        raise KeyError(arrow_name)
 
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -146,8 +134,7 @@ def _hom_system(v: Representation, w: Representation) -> tuple[int, int, RatMatr
         offsets.append(total)
         total += dv[i] * dw[i]
     rows: list[list[Fraction]] = []
-    for a, va in zip(v.quiver.arrows, v.matrices):
-        wa = w.matrix(a.name)
+    for a, va, wa in zip(v.quiver.arrows, v.matrices, w.matrices):
         s, t = a.source - 1, a.target - 1
         for p in range(dw[t]):
             for q in range(dv[s]):
@@ -207,8 +194,7 @@ def direct_sum(v: Representation, w: Representation) -> Representation:
     _require_same_quiver(v, w)
     dims = tuple(a + b for a, b in zip(v.dims, w.dims))
     mats = []
-    for a, mv in zip(v.quiver.arrows, v.matrices):
-        mw = w.matrix(a.name)
+    for mv, mw in zip(v.matrices, w.matrices):
         rows = mv.rows + mw.rows
         cols = mv.cols + mw.cols
         ent = [_ZERO] * (rows * cols)

@@ -139,55 +139,38 @@ def cancel_common(
     return m.difference(common), nn.difference(common)
 
 
-def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
-    """Quotient both sides by the socle of m, when that is sound.
+def _end_reduce(m, nn, end, ends, quotient, not_embedded):
+    """Quotient both sides at the `end` residues of m, when that is sound.
 
-    Let u = socle(m) and w = socle(nn) - u. When u and w share no residue,
-    the unique copy of u inside nn is its entire socle at u's residues, and
+    Let u = ends(m) and w = ends(nn) - u. When u and w share no residue, the
+    unique copy of u inside nn is all of its `end` at u's residues, and
     quotienting both sides preserves the singularity type. Returns the
     reduced pair plus the residues used, or None when u and w collide.
     """
     if m.n != nn.n:
         raise RankMismatch("multisets have different ranks")
-    u = m.socle()
-    s = nn.socle()
-    if any(a > b for a, b in zip(u.counts, s.counts)):
-        raise SocleNotEmbeddable(
-            "socle of the degenerating class exceeds the other socle"
-        )
-    u_res = u.residues()
-    w_res = {
-        r + 1 for r, (a, b) in enumerate(zip(u.counts, s.counts)) if b - a > 0
-    }
-    if u_res & w_res:
+    counts = list(zip(ends(m).counts, ends(nn).counts))
+    if any(a > b for a, b in counts):
+        raise not_embedded(f"{end} of the degenerating class exceeds the other {end}")
+    if any(0 < a < b for a, b in counts):
         return None
-    residues = tuple(sorted(u_res))
-    return (
-        m.quotient_by_socle(residues),
-        nn.quotient_by_socle(residues),
-        residues,
+    residues = tuple(r for r, (a, _) in enumerate(counts, 1) if a)
+    return quotient(m, residues), quotient(nn, residues), residues
+
+
+def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
+    """Quotient both sides by the socle of m, when that is sound."""
+    return _end_reduce(
+        m, nn, "socle", WindowMultiset.socle,
+        WindowMultiset.quotient_by_socle, SocleNotEmbeddable,
     )
 
 
 def top_reduce(m: WindowMultiset, nn: WindowMultiset):
     """Dual of socle_reduce: pass to radicals at the top residues of m."""
-    if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
-    u = m.top()
-    s = nn.top()
-    if any(a > b for a, b in zip(u.counts, s.counts)):
-        raise TopNotLiftable("top of the degenerating class exceeds the other top")
-    u_res = u.residues()
-    w_res = {
-        r + 1 for r, (a, b) in enumerate(zip(u.counts, s.counts)) if b - a > 0
-    }
-    if u_res & w_res:
-        return None
-    residues = tuple(sorted(u_res))
-    return (
-        m.quotient_to_radical(residues),
-        nn.quotient_to_radical(residues),
-        residues,
+    return _end_reduce(
+        m, nn, "top", WindowMultiset.top,
+        WindowMultiset.quotient_to_radical, TopNotLiftable,
     )
 
 
@@ -253,20 +236,14 @@ def classify(
         if cm.is_empty() or current <= 1:
             result = SingularityType.reg()
             break
-        reduced = socle_reduce(cm, cn)
+        kind, reduced = "socle", socle_reduce(cm, cn)
+        if reduced is None:
+            kind, reduced = "top", top_reduce(cm, cn)
         if reduced is not None:
             cm, cn, residues = reduced
             current = _checked_codim(cm, cn)
             trace.steps.append(
-                ReductionStep("socle", cm, cn, current, residues=residues)
-            )
-            continue
-        reduced = top_reduce(cm, cn)
-        if reduced is not None:
-            cm, cn, residues = reduced
-            current = _checked_codim(cm, cn)
-            trace.steps.append(
-                ReductionStep("top", cm, cn, current, residues=residues)
+                ReductionStep(kind, cm, cn, current, residues=residues)
             )
             continue
         if cn.summand_count() <= 2:

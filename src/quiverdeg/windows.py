@@ -6,8 +6,8 @@ nilpotent representations are uniserial and labelled by integer intervals
 [i, j] ("windows"): basis vectors sit at the residues of i..j and the arrow
 maps shift each basis vector down by one, killing the bottom one. Shifting
 both endpoints by a multiple of n does not change the class, so windows
-compare equal modulo that shift and every multiset stores canonical
-representatives with 1 <= i <= n.
+are stored as their canonical representative with 1 <= i <= n, and equal
+classes are equal values.
 
 A finite multiset of windows is exactly an isomorphism class of nilpotent
 representations (Krull-Schmidt), which makes socle, top and quotient
@@ -49,8 +49,9 @@ def _count_congruent(lo: int, hi: int, rem: int, n: int) -> int:
 class Window:
     """An interval [i, j] naming a uniserial nilpotent class of rank n.
 
-    Two windows are equal iff they agree after shifting both endpoints by a
-    multiple of n; the canonical representative has 1 <= i <= n.
+    Both endpoints are shifted on construction by the multiple of n that
+    gives the canonical representative, 1 <= i <= n, so two windows are equal
+    iff they name the same class.
     """
 
     __slots__ = ("n", "i", "j")
@@ -60,15 +61,10 @@ class Window:
             raise BadWindow("cyclic rank must be at least 1")
         if i > j:
             raise BadWindow(f"window ({i},{j}) has i > j")
+        shift = residue(i, n) - i
         self.n = n
-        self.i = i
-        self.j = j
-
-    def canonical(self) -> "Window":
-        shift = residue(self.i, self.n) - self.i
-        if shift == 0:
-            return self
-        return Window(self.n, self.i + shift, self.j + shift)
+        self.i = i + shift
+        self.j = j + shift
 
     @property
     def length(self) -> int:
@@ -76,7 +72,7 @@ class Window:
 
     @property
     def socle_residue(self) -> int:
-        return residue(self.i, self.n)
+        return self.i
 
     @property
     def top_residue(self) -> int:
@@ -93,8 +89,7 @@ class Window:
         return Window(self.n, self.i + c, self.j + c)
 
     def _key(self) -> tuple[int, int, int]:
-        c = self.canonical()
-        return (self.n, c.i, c.j)
+        return (self.n, self.i, self.j)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Window):
@@ -128,6 +123,7 @@ class SimpleMultiset:
     def count(self, residue_index: int) -> int:
         return self.counts[residue_index - 1]
 
+    # Test oracle: the socle round-trip checks quotient at these residues.
     def residues(self) -> set[int]:
         return {r + 1 for r, c in enumerate(self.counts) if c}
 
@@ -146,8 +142,7 @@ class SimpleMultiset:
 class WindowMultiset:
     """Multiset of windows: the isomorphism class of a nilpotent representation.
 
-    Entries are canonicalized on construction and kept sorted, so equal
-    classes are equal values.
+    Entries are kept sorted, so equal classes are equal values.
     """
 
     __slots__ = ("n", "windows")
@@ -160,10 +155,10 @@ class WindowMultiset:
             if isinstance(w, Window):
                 if w.n != n:
                     raise RankMismatch(f"window of rank {w.n} in a rank-{n} multiset")
-                items.append(w.canonical())
+                items.append(w)
             else:
                 i, j = w
-                items.append(Window(n, int(i), int(j)).canonical())
+                items.append(Window(n, int(i), int(j)))
         items.sort(key=lambda w: (w.i, w.j))
         self.n = n
         self.windows = tuple(items)
@@ -380,9 +375,9 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
     total = rep.total_dim()
     if total == 0:
         return WindowMultiset(n, ())
+    if not is_nilpotent(rep):
+        raise NotNilpotent("the representation is not nilpotent")
     ranks = _composite_ranks(rep, total + 1)
-    if any(ranks[v - 1][total] != 0 for v in range(1, n + 1)):
-        raise NotNilpotent("a length-(total dim) path composite is nonzero")
     entries: list[Window] = []
     for jr in range(1, n + 1):
         nxt = residue(jr + 1, n)
@@ -398,8 +393,7 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
                     f"negative multiplicity for window ending at {jr} of length {length}"
                 )
             if mult:
-                w = Window(n, jr - length + 1, jr).canonical()
-                entries.extend([w] * mult)
+                entries.extend([Window(n, jr - length + 1, jr)] * mult)
     ms = WindowMultiset(n, entries)
     if ms.dim_vector() != rep.dims:
         raise Inconsistent("decomposition does not match the dimension vector")
@@ -443,7 +437,7 @@ def reconstruct_from_socle_quotient(
     entries: list[Window] = []
     used = [0] * n
     for w in t.windows:
-        grown = Window(n, w.i - 1, w.j).canonical()
+        grown = Window(n, w.i - 1, w.j)
         entries.append(grown)
         used[grown.socle_residue - 1] += 1
     for r in range(1, n + 1):

@@ -301,6 +301,19 @@ def test_missing_file_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000, '{"n": ' + "7" * 5000 + ', "windows": []}'],
+    ids=["deep-nesting", "huge-integer"],
+)
+def test_hostile_json_exits_2_naming_the_file(runner, tmp_path, text):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["codim", str(path), str(path)])
+    assert result.exit_code == 2
+    assert str(path) in result.output
+
+
 def test_matrix_floats_rejected(runner, tmp_path):
     obj = {
         "quiver": {

@@ -190,13 +190,12 @@ def test_dual_of_window_is_single_window():
     n = 3
     perm = {v: n + 1 - v for v in range(1, n + 1)}
     relabelled = _relabel(d, perm)
+    by_source = dict(
+        zip((a.source for a in relabelled.quiver.arrows), relabelled.matrices)
+    )
+    quiver = cyclic_quiver(n)
     renamed = Representation(
-        cyclic_quiver(n),
-        relabelled.dims,
-        {
-            f"a{a.source}": m
-            for a, m in zip(relabelled.quiver.arrows, relabelled.matrices)
-        },
+        quiver, relabelled.dims, tuple(by_source[a.source] for a in quiver.arrows)
     )
     decomposed = decompose_nilpotent(renamed)
     assert decomposed.summand_count() == 1

@@ -1,20 +1,25 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from quiverdeg.degeneration import codim, degenerates, enumerate_nilpotent
+from quiverdeg.degeneration import codim, degenerates, enumerate_nilpotent, poset
 from quiverdeg.errors import (
     BadArity,
     Inconsistent,
     NotADegeneration,
     OutOfScope,
     SocleNotEmbeddable,
+    TopNotLiftable,
 )
+from quiverdeg.formats import canonical_dumps
 from quiverdeg.singularity import (
     SingularityType,
     _checked_codim,
+    _dim_vectors,
     _terminal_lengths,
     cancel_common,
     classify,
@@ -92,8 +97,18 @@ def test_socle_reduce_collision_returns_none():
 
 
 def test_socle_reduce_rejects_corrupt_input():
-    with pytest.raises(SocleNotEmbeddable):
+    with pytest.raises(
+        SocleNotEmbeddable,
+        match="^socle of the degenerating class exceeds the other socle$",
+    ):
         socle_reduce(ws(2, (1, 1)), ws(2, (2, 2)))
+
+
+def test_top_reduce_rejects_corrupt_input():
+    with pytest.raises(
+        TopNotLiftable, match="^top of the degenerating class exceeds the other top$"
+    ):
+        top_reduce(ws(2, (1, 1)), ws(2, (2, 2)))
 
 
 def test_top_reduce_worked_step():
@@ -270,6 +285,31 @@ def test_terminal_agrees_with_classify_on_its_pattern():
         via_classify, trace = classify(m, nn)
         assert via_classify == SingularityType.a_type(max(b, c))
         assert trace.steps[-1].kind == "terminal"
+
+
+# Recorded before the socle/top end move was shared and windows became
+# canonical on construction; any change to a step, a pair or a verdict shows.
+TRACES_N3_DIM7_SHA256 = "27a87a3092a6b7c8019beb788fe5941eb4cf9632a5536e9583d362222b8ae76d"
+
+
+def test_codim2_traces_golden():
+    digest = hashlib.sha256()
+    kinds = Counter()
+    pairs = 0
+    for n in range(1, 4):
+        for d in _dim_vectors(n, 7):
+            nodes, self_hom, below = poset(n, d)
+            for x, mask in enumerate(below):
+                for y, hom in enumerate(self_hom):
+                    if hom - self_hom[x] != 2 or not (mask >> y) & 1:
+                        continue
+                    _, trace = classify(nodes[x], nodes[y])
+                    digest.update(canonical_dumps(trace.to_obj()).encode())
+                    kinds.update(s.kind for s in trace.steps)
+                    pairs += 1
+    assert pairs == 1005
+    assert kinds == {"cancel": 860, "socle": 239, "top": 67, "relabel": 64, "terminal": 64}
+    assert digest.hexdigest() == TRACES_N3_DIM7_SHA256
 
 
 # ---------------------------------------------------------------- varieties

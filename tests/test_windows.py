@@ -55,11 +55,9 @@ def all_dim_vectors(n, max_total):
 
 
 def test_canonicalize_shifts():
-    c = Window(2, 0, 3).canonical()
-    assert (c.i, c.j) == (2, 5)
-    already = Window(2, 1, 4)
-    assert already.canonical() is already
-    assert (Window(3, -2, 0).canonical().i, Window(3, -2, 0).canonical().j) == (1, 3)
+    for n, i, j, canonical in ((2, 0, 3, (2, 5)), (2, 1, 4, (1, 4)), (3, -2, 0, (1, 3))):
+        w = Window(n, i, j)
+        assert (w.i, w.j) == canonical
 
 
 def test_bad_window_rejected():
@@ -105,8 +103,7 @@ def test_realize_two_vertex_window():
     rep = realize(WindowMultiset(2, [(1, 2)]))
     assert rep.dims == (1, 1)
     # the arrow into the socle vertex carries the shift, the other is zero
-    assert rep.matrix("a2") == RatMatrix.from_rows([[1]])
-    assert rep.matrix("a1") == RatMatrix.from_rows([[0]])
+    assert rep.matrices == (RatMatrix.from_rows([[0]]), RatMatrix.from_rows([[1]]))
 
 
 def test_cyclic_quiver_shape():
