@@ -89,6 +89,12 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
         raise ParseError(f"bad dimension vector {raw!r}: {exc}") from exc
 
 
+def _check_cap(field: str, value: int, cap: int) -> None:
+    """Reject a size above its cap (formats.MAX_*) before anything is built."""
+    if value > cap:
+        raise ParseError(f"{field} {value} exceeds the cap of {cap}")
+
+
 @click.group()
 def main():
     """Exact invariants, degeneration order and singularity types for
@@ -206,10 +212,12 @@ def cmd_hasse(rank, dim_raw, fmt, annotated, output):
     dims = _parse_dims(dim_raw)
     if rank < 1:
         raise ParseError("--n must be at least 1")
+    _check_cap("--n", rank, formats.MAX_RANK)
     if len(dims) != rank or any(x < 0 for x in dims):
         raise ParseError(
             f"--dim must list {rank} nonnegative integers, got {dim_raw!r}"
         )
+    _check_cap("--dim total", sum(dims), formats.MAX_TOTAL_DIM)
     diagram = dg.hasse(rank, dims)
     if annotated:
         diagram = annotate(diagram)
@@ -233,6 +241,8 @@ def cmd_scan(max_n, max_dim):
     """
     if max_n < 1 or max_dim < 1:
         raise ParseError("--max-n and --max-dim must be at least 1")
+    _check_cap("--max-n", max_n, formats.MAX_RANK)
+    _check_cap("--max-dim", max_dim, formats.MAX_TOTAL_DIM)
     lines = [
         f"{'n':>3} {'dim':<12} {'classes':>8} {'codim2':>7} {'Reg':>6} {'A_r':>6} {'Unres':>6}"
     ]

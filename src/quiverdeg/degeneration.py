@@ -1,24 +1,37 @@
 """Degeneration order, codimension and Hasse diagrams for nilpotent classes.
 
-One class degenerates to another (with the same dimension vector) exactly
-when its Hom profile against every test object is componentwise smaller.
-For nilpotent classes of a cyclic quiver a finite test set suffices: homs
-to non-nilpotent indecomposables vanish, and the profile entry against a
-window stabilizes once the test window is at least as long as the class
-being measured, so windows of every residue and length up to the total
-dimension decide the order. Codimension of a degeneration is the difference
-of self-Hom dimensions.
+For nilpotent representations of the cyclic quiver the degeneration order
+is the rank order on arrow composites (G. Kempken, Bonner Math. Schriften
+137, 1982): M degenerates to N (same dimension vector) iff, for every
+vertex v and length t, the composite of t arrow maps starting at v has rank
+at least as large in M as in N. windows.multiset_ranks gives those ranks in
+closed form on windows, n * (total + 1) of them per class, with no matrices.
+Codimension of a degeneration is the difference of self-Hom dimensions.
+
+The Hom order (Bongartz, Adv. Math. 121, 1996; Zwara, Compositio Math. 121,
+2000) decides the same relation: M degenerates to N iff its Hom profile
+against every window up to the total dimension is componentwise smaller.
+TestSet and hom_profile keep that definition as the reference the tests
+compare the rank order against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import LengthMismatch, NotADegeneration, RankMismatch
-from .windows import Window, WindowMultiset, multiset_hom_dim, window_hom_dim
+from .windows import (
+    Window,
+    WindowMultiset,
+    multiset_hom_dim,
+    multiset_ranks,
+    window_hom_dim,
+)
 
 
+# Test oracle: the Hom order the rank order is checked against.
 @dataclass(frozen=True)
 class TestSet:
     """All windows of rank n with lengths 1..max_length, as test objects."""
@@ -37,6 +50,7 @@ class TestSet:
         return cls(n, max_length, wins)
 
 
+# Test oracle: the Hom order the rank order is checked against.
 def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
     """Hom dimensions from ms to every test window, in test-set order."""
     if ms.n != ts.n:
@@ -46,16 +60,23 @@ def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
     )
 
 
+def _rank_key(ms: WindowMultiset, total: int) -> list[int]:
+    """Negated composite ranks: the order is componentwise <= on these keys."""
+    return [-r for row in multiset_ranks(ms, total) for r in row]
+
+
 def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
-    """True iff m degenerates to nn: same dimension vector and dominated profile."""
+    """True iff m degenerates to nn: same dimension vector, dominating ranks.
+
+    The rank order (Kempken 1982; see the module docstring): every composite
+    of arrow maps has rank in m at least its rank in nn.
+    """
     if m.n != nn.n:
         raise RankMismatch("multisets have different ranks")
     if m.dim_vector() != nn.dim_vector():
         return False
-    ts = TestSet.up_to(m.n, m.total_dim())
-    pm = hom_profile(m, ts)
-    pn = hom_profile(nn, ts)
-    return all(a <= b for a, b in zip(pm, pn))
+    total = m.total_dim()
+    return all(a <= b for a, b in zip(_rank_key(m, total), _rank_key(nn, total)))
 
 
 def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
@@ -65,29 +86,29 @@ def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
     return multiset_hom_dim(nn, nn) - multiset_hom_dim(m, m)
 
 
-def _fill(n, candidates, dim_vectors, idx, remaining, chosen, results) -> None:
+def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> None:
     """Append every multiset of candidates[idx:] filling remaining to results.
 
+    Each call adds one more window, the next candidate from idx on that fits.
+    Candidates are sorted by (i, j), so a window that does not fit has no
+    longer window with the same start that fits: the loop jumps to skip[c],
+    the first candidate with the next start, instead of recursing into them.
     A module-level function rather than a closure: a recursive closure refers
     to itself and keeps its whole frame alive until a cyclic collection.
     """
     if not any(remaining):
         results.append(WindowMultiset(n, list(chosen)))
         return
-    if idx == len(candidates):
-        return
-    dv = dim_vectors[idx]
-    max_fit = min(
-        (rem // need for rem, need in zip(remaining, dv) if need),
-        default=0,
-    )
-    for count in range(max_fit + 1):
-        if count:
-            chosen.extend([candidates[idx]] * count)
-        rest = tuple(rem - count * need for rem, need in zip(remaining, dv))
-        _fill(n, candidates, dim_vectors, idx + 1, rest, chosen, results)
-        if count:
-            del chosen[-count:]
+    c = idx
+    while c < len(candidates):
+        rest = tuple(rem - need for rem, need in zip(remaining, dim_vectors[c]))
+        if min(rest) < 0:
+            c = skip[c]
+            continue
+        chosen.append(candidates[c])
+        _fill(n, candidates, dim_vectors, skip, c, rest, chosen, results)
+        chosen.pop()
+        c += 1
 
 
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
@@ -108,9 +129,11 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
                 candidates.append(w)
     candidates.sort(key=lambda w: (w.i, w.j))
     dim_vectors = [w.dim_vector() for w in candidates]
+    starts = [w.i for w in candidates]
+    skip = [bisect_right(starts, i) for i in starts]
 
     results: list[WindowMultiset] = []
-    _fill(n, candidates, dim_vectors, 0, d, [], results)
+    _fill(n, candidates, dim_vectors, skip, 0, d, [], results)
     results.sort(key=lambda ms: ms.sort_key())
     return results
 
@@ -159,8 +182,8 @@ def poset(n: int, d: Sequence[int]):
     degenerates to node b (reflexive).
     """
     nodes = enumerate_nilpotent(n, d)
-    ts = TestSet.up_to(n, sum(d))
-    below = _below_masks([hom_profile(node, ts) for node in nodes])
+    total = sum(d)
+    below = _below_masks([_rank_key(node, total) for node in nodes])
     return nodes, [multiset_hom_dim(node, node) for node in nodes], below
 
 

@@ -15,6 +15,12 @@ list of rows of shape dims[target] x dims[source]. A windows file:
 with repeats encoding multiplicity; windows are accepted in any shift and
 emitted canonical and sorted. Serialization is canonical (sorted keys, fixed
 separators) so identical data round-trips byte for byte.
+
+Sizes are capped before anything is built from a file: windows.n at
+MAX_RANK, and the total dimension (every window's length, their sum, the sum
+of a representation's dims) at MAX_TOTAL_DIM. Dense matrices, composite
+ranks and Hom systems grow with these sizes (a Hom system has up to
+total^4 entries), so an unchecked one-window file could exhaust memory.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .errors import ParseError
 from .linalg import RatMatrix, format_rational, parse_rational
 from .reps import Arrow, Quiver, Representation
 from .windows import WindowMultiset, realize
+
+MAX_RANK = 40
+MAX_TOTAL_DIM = 40
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -110,6 +119,10 @@ def rep_from_obj(obj: dict) -> Representation:
         raise ParseError("dims: expected a list of nonnegative integers")
     if len(dims_obj) != quiver.vertex_count:
         raise ParseError(f"dims: expected {quiver.vertex_count} entries, one per vertex")
+    if sum(dims_obj) > MAX_TOTAL_DIM:
+        raise ParseError(
+            f"dims: total dimension {sum(dims_obj)} exceeds the cap of {MAX_TOTAL_DIM}"
+        )
     matrices_obj = _require(obj, "matrices", "representation")
     if not isinstance(matrices_obj, dict):
         raise ParseError("matrices: expected an object keyed by arrow id")
@@ -148,10 +161,13 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
     n = _require(obj, "n", "windows")
     if not _is_int(n) or n < 1:
         raise ParseError("windows.n: expected a positive integer")
+    if n > MAX_RANK:
+        raise ParseError(f"windows.n: {n} exceeds the cap of {MAX_RANK}")
     wins = _require(obj, "windows", "windows")
     if not isinstance(wins, list):
         raise ParseError("windows.windows: expected a list")
     pairs = []
+    total = 0
     for idx, w in enumerate(wins):
         if (
             not isinstance(w, list)
@@ -161,6 +177,17 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
             raise ParseError(f"windows.windows[{idx}]: expected a pair [i, j]")
         if w[0] > w[1]:
             raise ParseError(f"windows.windows[{idx}]: i > j")
+        length = w[1] - w[0] + 1
+        if length > MAX_TOTAL_DIM:
+            raise ParseError(
+                f"windows.windows[{idx}]: length {length} exceeds the cap of "
+                f"{MAX_TOTAL_DIM} on the total dimension"
+            )
+        total += length
+        if total > MAX_TOTAL_DIM:
+            raise ParseError(
+                f"windows.windows: total dimension exceeds the cap of {MAX_TOTAL_DIM}"
+            )
         pairs.append((w[0], w[1]))
     return WindowMultiset(n, pairs)
 

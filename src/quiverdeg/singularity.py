@@ -134,9 +134,28 @@ class ReductionTrace:
 def cancel_common(
     m: WindowMultiset, nn: WindowMultiset
 ) -> tuple[WindowMultiset, WindowMultiset]:
-    """Remove the multiset intersection from both sides."""
-    common = m.intersection(nn)
-    return m.difference(common), nn.difference(common)
+    """Remove the multiset intersection from both sides.
+
+    One merge over the two window tuples, which are both sorted.
+    """
+    if m.n != nn.n:
+        raise RankMismatch("multisets have different ranks")
+    a, b = m.windows, nn.windows
+    keep_a, keep_b = [], []
+    x = y = 0
+    while x < len(a) and y < len(b):
+        ka, kb = (a[x].i, a[x].j), (b[y].i, b[y].j)
+        if ka == kb:
+            x, y = x + 1, y + 1
+        elif ka < kb:
+            keep_a.append(a[x])
+            x += 1
+        else:
+            keep_b.append(b[y])
+            y += 1
+    keep_a.extend(a[x:])
+    keep_b.extend(b[y:])
+    return WindowMultiset(m.n, keep_a), WindowMultiset(nn.n, keep_b)
 
 
 def _end_reduce(m, nn, end, ends, quotient, not_embedded):
@@ -273,14 +292,32 @@ def _dim_vectors(n: int, max_total: int):
                 yield vec
 
 
+def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> SingularityType:
+    """classify's verdict on (m, nn), looked up by the pair left after cancelling.
+
+    classify's first move cancels the common summands, and every later move
+    sees only the cancelled pair, so pairs that cancel to the same pair share
+    their verdict. memo maps cancelled pairs to verdicts and is owned by the
+    caller, one per scan or annotation.
+    """
+    key = cancel_common(m, nn)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = classify(*key)[0]
+    return verdict
+
+
 def scan_rows(max_n: int, max_dim: int):
     """Per-dimension-vector tallies of the verdicts on all codim-2 pairs.
 
     For each rank n <= max_n and dimension vector of total <= max_dim, every
     ordered pair of classes with codimension exactly 2 is classified; pairs
-    come in the order (upper, lower) of their node indices.
+    come in the order (upper, lower) of their node indices. Verdicts are
+    shared across the whole scan by the pair left after cancelling common
+    summands; Unresolved pairs are listed as found, uncancelled.
     """
     tally_key = {"Reg": "reg", "A": "a", "C": "c_count"}
+    memo: dict = {}
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
             nodes, self_hom, below = poset(n, d)
@@ -290,7 +327,7 @@ def scan_rows(max_n: int, max_dim: int):
                 for y, hom in enumerate(self_hom):
                     if hom - self_hom[x] != 2 or not (mask >> y) & 1:
                         continue
-                    verdict, _ = classify(nodes[x], nodes[y])
+                    verdict = _memo_verdict(memo, nodes[x], nodes[y])
                     key = tally_key.get(verdict.kind, "unresolved")
                     tally[key] += 1
                     if key == "unresolved":
@@ -309,15 +346,17 @@ def annotate(diagram: HasseDiagram) -> HasseDiagram:
     """The diagram with its covers labelled by the singularity type.
 
     Codimension-1 covers are Reg and codimension-2 covers get the verdict of
-    classify; deeper covers stay unlabelled.
+    classify, shared by covers that cancel to the same pair; deeper covers
+    stay unlabelled.
     """
+    memo: dict = {}
     edges = []
     for e in diagram.edges:
         if e.codim == 1:
             e = replace(e, label="Reg")
         elif e.codim == 2:
             upper, lower = diagram.nodes[e.upper], diagram.nodes[e.lower]
-            e = replace(e, label=str(classify(upper, lower)[0]))
+            e = replace(e, label=str(_memo_verdict(memo, upper, lower)))
         edges.append(e)
     return replace(diagram, edges=tuple(edges))
 

@@ -19,7 +19,6 @@ i = j).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -235,21 +234,6 @@ class WindowMultiset:
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
         return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])
 
-    def counter(self) -> Counter:
-        return Counter(self.windows)
-
-    def intersection(self, other: "WindowMultiset") -> "WindowMultiset":
-        if self.n != other.n:
-            raise RankMismatch("multisets have different ranks")
-        common = self.counter() & other.counter()
-        return WindowMultiset(self.n, common.elements())
-
-    def difference(self, other: "WindowMultiset") -> "WindowMultiset":
-        if self.n != other.n:
-            raise RankMismatch("multisets have different ranks")
-        remaining = self.counter() - other.counter()
-        return WindowMultiset(self.n, remaining.elements())
-
     def sort_key(self) -> tuple:
         return tuple((w.i, w.j) for w in self.windows)
 
@@ -341,6 +325,25 @@ def _composite_ranks(rep: Representation, steps: int) -> list[list[int]]:
             current = out[residue(v - t + 1, n)] @ current
             row.append(current.rank())
         ranks.append(row)
+    return ranks
+
+
+def multiset_ranks(ms: WindowMultiset, steps: int) -> list[list[int]]:
+    """Closed form of _composite_ranks(realize(ms), steps), with no matrices.
+
+    The composite of t arrow maps starting at vertex v sends the basis vector
+    of index l (l = v mod n) in a window [i, j] to that of l - t, or to zero
+    when l - t < i. So the window adds #{l in [i+t, j] : l = v (mod n)} to
+    ranks[v-1][t]: each index l counts once for every t <= l - i.
+    """
+    n = ms.n
+    ranks = [[0] * (steps + 1) for _ in range(n)]
+    for w in ms.windows:
+        for height in range(w.length):
+            ranks[(w.i + height - 1) % n][min(height, steps)] += 1
+    for row in ranks:
+        for t in range(steps - 1, -1, -1):
+            row[t] += row[t + 1]
     return ranks
 
 

@@ -8,6 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
+from quiverdeg import cli, degeneration, formats
 from quiverdeg.cli import main
 from quiverdeg.formats import (
     canonical_dumps,
@@ -435,3 +436,104 @@ def test_hasse_jobs_is_a_hidden_compatibility_flag(runner):
     help_text = runner.invoke(main, ["hasse", "--help"]).output
     assert "--annotate" in help_text
     assert "--jobs" not in help_text
+
+
+# SHA-256 of the scan table, recorded before the rank order and the verdict memo.
+SCAN_SHA256 = {
+    (3, 9): "76b0615395e0313da627b26c1bc25eeefe316f3b2ab93001e78ebef097e5baab",
+    (4, 8): "3f5603d1df51b238b7e13643ccfb8020a5caef7cec0a7b83ae4049d0fdbadd05",
+}
+
+
+@pytest.mark.parametrize("max_n, max_dim", sorted(SCAN_SHA256))
+def test_scan_bytes_are_pinned(runner, max_n, max_dim):
+    result = runner.invoke(
+        main, ["scan", "--max-n", str(max_n), "--max-dim", str(max_dim)]
+    )
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == SCAN_SHA256[max_n, max_dim]
+
+
+@pytest.fixture
+def nothing_allocates(monkeypatch):
+    """Fail the test if an oversized input gets past its cap to any builder."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("reached past the size cap")
+
+    monkeypatch.setattr(degeneration, "multiset_ranks", reached)
+    monkeypatch.setattr(degeneration.TestSet, "up_to", classmethod(reached))
+    monkeypatch.setattr(degeneration, "enumerate_nilpotent", reached)
+    monkeypatch.setattr(formats, "WindowMultiset", reached)
+    monkeypatch.setattr(formats, "realize", reached)
+    monkeypatch.setattr(formats, "Representation", reached)
+    monkeypatch.setattr(cli, "scan_rows", reached)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 1, "windows": [[1, 100_000_000]]},
+         "windows.windows[0]: length 100000000 exceeds the cap of 40"),
+        ({"n": 2, "windows": [[1, 20], [2, 22]]},
+         "windows.windows: total dimension exceeds the cap of 40"),
+        ({"n": 10**9, "windows": [[1, 1]]}, "windows.n: 1000000000 exceeds the cap of 40"),
+    ],
+    ids=["window-length", "total-dimension", "rank"],
+)
+@pytest.mark.parametrize("command", ["codim", "classify", "hom"])
+def test_windows_size_caps_exit_2_before_allocation(
+    runner, tmp_path, nothing_allocates, command, obj, message
+):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, [command, str(path), str(path)])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_representation_total_dimension_cap_exits_2(runner, tmp_path, nothing_allocates):
+    # dims [0, 41] needs only 41 empty rows in the file, but a 41 x 41 identity
+    # and a Hom system of 41^4 entries behind it.
+    obj = {
+        "quiver": {
+            "vertex_count": 2,
+            "arrows": [
+                {"id": "a1", "source": 1, "target": 2},
+                {"id": "a2", "source": 2, "target": 1},
+            ],
+        },
+        "dims": [0, 41],
+        "matrices": {"a1": [[]] * 41, "a2": []},
+    }
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["decompose", str(path)])
+    assert result.exit_code == 2
+    assert "dims: total dimension 41 exceeds the cap of 40" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["hasse", "--n", "41", "--dim", "1"], "--n 41 exceeds the cap of 40"),
+        (["hasse", "--n", "2", "--dim", "20,21"], "--dim total 41 exceeds the cap of 40"),
+        (["scan", "--max-n", "100000000"], "--max-n 100000000 exceeds the cap of 40"),
+        (["scan", "--max-dim", "41"], "--max-dim 41 exceeds the cap of 40"),
+    ],
+    ids=["hasse-n", "hasse-dim", "scan-max-n", "scan-max-dim"],
+)
+def test_cli_size_caps_exit_2_before_allocation(runner, nothing_allocates, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+def test_size_caps_admit_sizes_at_the_cap(runner, tmp_path):
+    # The caps sit above every documented range: hasse (6,6,6), scan n <= 4.
+    assert formats.MAX_RANK >= 4 and formats.MAX_TOTAL_DIM >= 18
+    path = write_windows(tmp_path / "w.json", 40, [(1, 40)])
+    result = runner.invoke(main, ["codim", path, path])
+    assert result.exit_code == 0
+    assert result.output == "0\n"

@@ -18,6 +18,7 @@ from quiverdeg.degeneration import (
     enumerate_nilpotent,
     hasse,
     hom_profile,
+    poset,
     to_dot,
     to_json_obj,
 )
@@ -191,7 +192,72 @@ def test_enumerate_dim_vectors_match(rng):
             assert ms.dim_vector() == dims
 
 
+def _brute_force_classes(n, total):
+    """Every class of rank n and the given total: lengths from a partition of
+    the total, and any start residue for each part."""
+    found = set()
+    for parts in partitions(total):
+        for starts in itertools.product(range(1, n + 1), repeat=len(parts)):
+            found.add(WindowMultiset(n, [(i, i + p - 1) for i, p in zip(starts, parts)]))
+    return found
+
+
+def test_enumeration_matches_brute_force():
+    for n in (1, 2, 3):
+        for total in range(0, 7):
+            got = []
+            for dims in _dim_vectors(n, total):
+                classes = enumerate_nilpotent(n, dims)
+                assert classes == sorted(set(classes), key=lambda ms: ms.sort_key())
+                assert all(ms.dim_vector() == dims for ms in classes)
+                got.extend(classes)
+            assert set(got) == _brute_force_classes(n, total), (n, total)
+
+
 # ---------------------------------------------------------------- oracle
+
+
+def test_rank_order_equals_hom_order_exhaustively():
+    # Kempken's rank order (poset) against the Hom order, on every ordered
+    # pair of classes for n = 1 to total 14 and n = 2, 3 to total 8.
+    pairs = 0
+    for n, max_total in ((1, 14), (2, 8), (3, 8)):
+        for total in range(1, max_total + 1):
+            for dims in _dim_vectors(n, total):
+                nodes, _, below = poset(n, dims)
+                ts = ProbeSet.up_to(n, total)
+                hom_order = _below_masks([hom_profile(node, ts) for node in nodes])
+                assert below == hom_order, (n, dims)
+                pairs += len(nodes) ** 2
+    assert pairs == 113_355
+
+
+def _random_class(rnd, n, dims):
+    """A class with dimension vector dims, grown one window at a time."""
+    remaining = list(dims)
+    windows = []
+    while any(remaining):
+        i = rnd.choice([v for v in range(1, n + 1) if remaining[v - 1]])
+        remaining[i - 1] -= 1
+        j = i
+        while remaining[j % n] and rnd.random() < 0.7:
+            remaining[j % n] -= 1
+            j += 1
+        windows.append((i, j))
+    return WindowMultiset(n, windows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(9, 16), st.randoms(use_true_random=False))
+def test_rank_order_equals_hom_order_beyond_the_exhaustive_range(n, total, rnd):
+    dims = [0] * n
+    for _ in range(total):
+        dims[rnd.randrange(n)] += 1
+    a, b = _random_class(rnd, n, dims), _random_class(rnd, n, dims)
+    ts = ProbeSet.up_to(n, total)
+    pa, pb = hom_profile(a, ts), hom_profile(b, ts)
+    assert degenerates(a, b) == all(x <= y for x, y in zip(pa, pb))
+    assert degenerates(b, a) == all(y <= x for x, y in zip(pa, pb))
 
 
 def test_dominance_oracle_small():

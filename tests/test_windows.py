@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from quiverdeg.windows import (
     cyclic_quiver,
     decompose_nilpotent,
     is_cyclic_quiver,
+    _composite_ranks,
     is_nilpotent,
     multiset_hom_dim,
+    multiset_ranks,
     realize,
     reconstruct_from_socle_quotient,
     window_hom_dim,
@@ -160,6 +163,15 @@ def test_decompose_round_trip_property(n, seed):
     assert decompose_nilpotent(realize(ms)) == ms
 
 
+@given(st.integers(1, 4), st.integers(0, 40_000), st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_closed_form_ranks_match_matrix_ranks(n, seed, steps):
+    # Both definitions of composite rank: windows on one side, matrices on
+    # the other, for lengths short of and past the longest window.
+    ms = random_multiset(random.Random(seed), n, max_entries=4, max_length=6)
+    assert multiset_ranks(ms, steps) == _composite_ranks(realize(ms), steps)
+
+
 def test_decompose_jordan_two_plus_one():
     m = RatMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     rep = Representation(cyclic_quiver(1), (3,), (m,))
@@ -201,7 +213,7 @@ def test_decompose_against_hom_profile_oracle(rng):
             solution = [Fraction(0)] * len(candidates)
             for ridx, pcol in enumerate(pivots):
                 solution[pcol] = rows[ridx][len(candidates)]
-            computed = decompose_nilpotent(v).counter()
+            computed = Counter(decompose_nilpotent(v).windows)
             for w, value in zip(candidates, solution):
                 assert value == computed.get(w, 0)
 
