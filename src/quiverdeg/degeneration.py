@@ -90,7 +90,7 @@ def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> 
     """Append every multiset of candidates[idx:] filling remaining to results.
 
     Each call adds one more window, the next candidate from idx on that fits.
-    Candidates are sorted by (i, j), so a window that does not fit has no
+    Candidates come in (i, j) order, so a window that does not fit has no
     longer window with the same start that fits: the loop jumps to skip[c],
     the first candidate with the next start, instead of recursing into them.
     A module-level function rather than a closure: a recursive closure refers
@@ -112,7 +112,9 @@ def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> 
 
 
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
-    """All window multisets with dimension vector d, deterministically ordered."""
+    """All window multisets with dimension vector d, in lexicographic order of
+    their (i, j) lists: candidates come in (i, j) order, _fill picks their
+    indices in non-decreasing order, and no class is a prefix of another."""
     d = tuple(int(x) for x in d)
     if len(d) != n:
         raise LengthMismatch(f"dimension vector must have length {n}")
@@ -127,14 +129,12 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
             w = Window(n, i, i + length - 1)
             if all(a <= b for a, b in zip(w.dim_vector(), d)):
                 candidates.append(w)
-    candidates.sort(key=lambda w: (w.i, w.j))
     dim_vectors = [w.dim_vector() for w in candidates]
     starts = [w.i for w in candidates]
     skip = [bisect_right(starts, i) for i in starts]
 
     results: list[WindowMultiset] = []
     _fill(n, candidates, dim_vectors, skip, 0, d, [], results)
-    results.sort(key=lambda ms: ms.sort_key())
     return results
 
 

@@ -95,9 +95,6 @@ class RatMatrix:
         ]
         return RatMatrix(self.cols, self.rows, ent)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")

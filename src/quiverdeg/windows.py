@@ -234,9 +234,6 @@ class WindowMultiset:
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
         return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])
 
-    def sort_key(self) -> tuple:
-        return tuple((w.i, w.j) for w in self.windows)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowMultiset):
             return NotImplemented
@@ -309,22 +306,22 @@ def realize(ms: WindowMultiset) -> Representation:
     return Representation(q, dims, mats)
 
 
-def _outgoing_matrices(rep: Representation) -> dict[int, RatMatrix]:
-    return {a.source: m for a, m in zip(rep.quiver.arrows, rep.matrices)}
-
-
 def _composite_ranks(rep: Representation, steps: int) -> list[list[int]]:
-    """ranks[v][t] = rank of the composite of t arrow maps starting at vertex v."""
+    """ranks[v-1][t] = rank of the composite of t arrow maps starting at vertex v.
+
+    A vertex's chain stops at its first zero composite and the rest of its
+    row is padded with zeros: every longer composite factors through it.
+    """
     n = rep.quiver.vertex_count
-    out = _outgoing_matrices(rep)
+    out = {a.source: m for a, m in zip(rep.quiver.arrows, rep.matrices)}
     ranks = []
     for v in range(1, n + 1):
         current = RatMatrix.identity(rep.dims[v - 1])
         row = [rep.dims[v - 1]]
-        for t in range(1, steps + 1):
-            current = out[residue(v - t + 1, n)] @ current
+        while row[-1] and len(row) <= steps:
+            current = out[residue(v - len(row) + 1, n)] @ current
             row.append(current.rank())
-        ranks.append(row)
+        ranks.append(row + [0] * (steps + 1 - len(row)))
     return ranks
 
 
@@ -349,18 +346,9 @@ def multiset_ranks(ms: WindowMultiset, steps: int) -> list[list[int]]:
 
 def is_nilpotent(rep: Representation) -> bool:
     """True iff all around-the-cycle composites of length total-dim vanish."""
-    n = require_cyclic(rep.quiver)
+    require_cyclic(rep.quiver)
     total = rep.total_dim()
-    if total == 0:
-        return True
-    out = _outgoing_matrices(rep)
-    for v in range(1, n + 1):
-        current = RatMatrix.identity(rep.dims[v - 1])
-        for t in range(1, total + 1):
-            current = out[residue(v - t + 1, n)] @ current
-        if not current.is_zero():
-            return False
-    return True
+    return not any(row[total] for row in _composite_ranks(rep, total))
 
 
 def decompose_nilpotent(rep: Representation) -> WindowMultiset:
@@ -375,11 +363,9 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
     is the classical Jordan block count r_{L-1} - 2 r_L + r_{L+1}.
     """
     n = require_cyclic(rep.quiver)
-    total = rep.total_dim()
-    if total == 0:
-        return WindowMultiset(n, ())
     if not is_nilpotent(rep):
         raise NotNilpotent("the representation is not nilpotent")
+    total = rep.total_dim()
     ranks = _composite_ranks(rep, total + 1)
     entries: list[Window] = []
     for jr in range(1, n + 1):
@@ -398,8 +384,8 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
             if mult:
                 entries.extend([Window(n, jr - length + 1, jr)] * mult)
     ms = WindowMultiset(n, entries)
-    if ms.dim_vector() != rep.dims:
-        raise Inconsistent("decomposition does not match the dimension vector")
+    if multiset_ranks(ms, total + 1) != ranks:
+        raise Inconsistent("decomposition does not match the composite ranks")
     return ms
 
 

@@ -172,7 +172,7 @@ def test_enumerate_loop_counts_partitions():
 
 def test_enumerate_two_vertex_unit_vector():
     classes = enumerate_nilpotent(2, (1, 1))
-    assert classes == sorted(classes, key=lambda ms: ms.sort_key())
+    assert classes == sorted(classes, key=lambda ms: [(w.i, w.j) for w in ms.windows])
     assert set(classes) == {
         WindowMultiset(2, [(1, 2)]),
         WindowMultiset(2, [(2, 3)]),
@@ -208,7 +208,8 @@ def test_enumeration_matches_brute_force():
             got = []
             for dims in _dim_vectors(n, total):
                 classes = enumerate_nilpotent(n, dims)
-                assert classes == sorted(set(classes), key=lambda ms: ms.sort_key())
+                assert classes == sorted(
+                    set(classes), key=lambda ms: [(w.i, w.j) for w in ms.windows])
                 assert all(ms.dim_vector() == dims for ms in classes)
                 got.extend(classes)
             assert set(got) == _brute_force_classes(n, total), (n, total)

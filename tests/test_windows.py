@@ -93,7 +93,7 @@ def test_rank_mismatch_in_multiset():
 def test_realize_empty_is_zero_rep():
     rep = realize(WindowMultiset(2))
     assert rep.dims == (0, 0)
-    assert all(m.is_zero() for m in rep.matrices)
+    assert not any(any(m.entries) for m in rep.matrices)
 
 
 def test_realize_loop_jordan_block():
@@ -170,6 +170,66 @@ def test_closed_form_ranks_match_matrix_ranks(n, seed, steps):
     # the other, for lengths short of and past the longest window.
     ms = random_multiset(random.Random(seed), n, max_entries=4, max_length=6)
     assert multiset_ranks(ms, steps) == _composite_ranks(realize(ms), steps)
+
+
+@st.composite
+def small_cyclic_reps(draw):
+    """Integer representations of the cyclic quiver, nilpotent or not."""
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    q = cyclic_quiver(n)
+    mats = []
+    for a in q.arrows:
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        entries = draw(st.lists(st.integers(-1, 1), min_size=rows * cols,
+                                max_size=rows * cols))
+        mats.append(RatMatrix(rows, cols, entries))
+    return Representation(q, dims, mats)
+
+
+def _naive_composites(rep, steps):
+    """Every composite of up to `steps` arrow maps from each vertex, never
+    stopping early: composites[v-1][t] starts at vertex v."""
+    n = rep.quiver.vertex_count
+    out = {a.source: m for a, m in zip(rep.quiver.arrows, rep.matrices)}
+    composites = []
+    for v in range(1, n + 1):
+        chain = [RatMatrix.identity(rep.dims[v - 1])]
+        for t in range(1, steps + 1):
+            chain.append(out[(v - t) % n + 1] @ chain[-1])
+        composites.append(chain)
+    return composites
+
+
+@given(small_cyclic_reps(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_single_walk_matches_naive_products(rep, extra):
+    # The walk stops a vertex's chain at its first zero composite; on
+    # representations whose chains vanish at some vertices and not at
+    # others, the ranks and the nilpotency verdict must not notice.
+    total = rep.total_dim()
+    naive = _naive_composites(rep, total + extra)
+    assert is_nilpotent(rep) == all(not any(chain[total].entries) for chain in naive)
+    for steps in range(total + extra + 1):
+        assert _composite_ranks(rep, steps) == [
+            [m.rank() for m in chain[: steps + 1]] for chain in naive
+        ]
+
+
+def test_decompose_walks_each_chain_to_its_first_zero(monkeypatch):
+    # n = 3, total 10: the chains from vertices 1, 2 and 3 vanish after 4, 5
+    # and 6 arrows, so nilpotency and the ranks take 15 products each.
+    rep = realize(WindowMultiset(3, [(1, 6), (2, 4), (3, 3)]))
+    products = []
+    matmul = RatMatrix.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted)
+    assert decompose_nilpotent(rep) == WindowMultiset(3, [(1, 6), (2, 4), (3, 3)])
+    assert len(products) <= 30
 
 
 def test_decompose_jordan_two_plus_one():
