@@ -24,8 +24,6 @@ from .reps import (
     Arrow,
     Quiver,
     Representation,
-    direct_sum,
-    dual,
     ext1_dim,
     euler_form,
     hom_dim,

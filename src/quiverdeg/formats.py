@@ -19,8 +19,9 @@ separators) so identical data round-trips byte for byte.
 Sizes are capped before anything is built from a file: windows.n at
 MAX_RANK, and the total dimension (every window's length, their sum, the sum
 of a representation's dims) at MAX_TOTAL_DIM. Dense matrices, composite
-ranks and Hom systems grow with these sizes (a Hom system has up to
-total^4 entries), so an unchecked one-window file could exhaust memory.
+ranks and Hom systems grow with these sizes, so an unchecked one-window file
+could exhaust memory; `hom` and `ext` also reject a Hom system of more than
+MAX_TOTAL_DIM ** 4 entries, since the number of arrows is not capped.
 """
 
 from __future__ import annotations

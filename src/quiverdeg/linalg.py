@@ -87,14 +87,6 @@ class RatMatrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        ent = [
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        ]
-        return RatMatrix(self.cols, self.rows, ent)
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -112,15 +104,6 @@ class RatMatrix:
                         if bv:
                             out[base + j] += av * bv
         return RatMatrix(n, m, out)
-
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        c = self.cols
-        return tuple(
-            sum((self.entries[i * c + j] * vec[j] for j in range(c)), _ZERO)
-            for i in range(self.rows)
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -152,23 +135,6 @@ class RatMatrix:
         if self.rows == 0 or self.cols == 0:
             return 0
         return _bareiss_rank(self._int_rows(), self.cols)
-
-    # Test oracle: an elimination independent of Bareiss to check rank() by.
-    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the null space; list length is always cols - rank."""
-        rows = self.row_list()
-        pivots = _rref(rows, self.cols)
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.cols):
-            if free in pivot_set:
-                continue
-            vec = [_ZERO] * self.cols
-            vec[free] = _ONE
-            for ridx, pcol in enumerate(pivots):
-                vec[pcol] = -rows[ridx][free]
-            basis.append(tuple(vec))
-        return basis
 
 
 def _bareiss_rank(rows: list[list[int]], ncols: int) -> int:
@@ -208,33 +174,3 @@ def _bareiss_rank(rows: list[list[int]], ncols: int) -> int:
         if rank == nrows:
             break
     return rank
-
-
-# Test oracle: the tests check rank() and decompose_nilpotent against it.
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot columns."""
-    pivots: list[int] = []
-    r = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        lead = prow[col]
-        if lead != 1:
-            rows[r] = prow = [x / lead for x in prow]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots

@@ -47,12 +47,6 @@ class Quiver:
                 raise ValueError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
 
-    def opposite(self) -> "Quiver":
-        return Quiver(
-            self.vertex_count,
-            tuple(Arrow(a.name, a.target, a.source) for a in self.arrows),
-        )
-
 
 class Representation:
     """Per-vertex dimensions plus one rational matrix per arrow, in arrow order."""
@@ -187,29 +181,3 @@ def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 def orbit_dim(v: Representation) -> int:
     """Dimension of the isomorphism-class orbit: sum dims^2 - hom_dim(v, v)."""
     return sum(d * d for d in v.dims) - hom_dim(v, v)
-
-
-def direct_sum(v: Representation, w: Representation) -> Representation:
-    """Blockwise direct sum over the same quiver."""
-    _require_same_quiver(v, w)
-    dims = tuple(a + b for a, b in zip(v.dims, w.dims))
-    mats = []
-    for mv, mw in zip(v.matrices, w.matrices):
-        rows = mv.rows + mw.rows
-        cols = mv.cols + mw.cols
-        ent = [_ZERO] * (rows * cols)
-        for r in range(mv.rows):
-            for c in range(mv.cols):
-                ent[r * cols + c] = mv.at(r, c)
-        for r in range(mw.rows):
-            for c in range(mw.cols):
-                ent[(mv.rows + r) * cols + (mv.cols + c)] = mw.at(r, c)
-        mats.append(RatMatrix(rows, cols, ent))
-    return Representation(v.quiver, dims, mats)
-
-
-def dual(v: Representation) -> Representation:
-    """Vector-space dual over the opposite quiver; all matrices transposed."""
-    return Representation(
-        v.quiver.opposite(), v.dims, tuple(m.transpose() for m in v.matrices)
-    )

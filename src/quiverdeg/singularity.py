@@ -18,7 +18,6 @@ recording further quotient steps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -39,11 +38,8 @@ from .windows import WindowMultiset
 
 @dataclass(frozen=True)
 class SingularityType:
-    """Reg, A(r), C(r) or Unresolved(diagnostic).
-
-    C(1) normalizes to Reg and C(2) to A(1) on construction; the remaining
-    types are pairwise distinct.
-    """
+    """Reg, A(r) or Unresolved(diagnostic): the only answers the classifier
+    gives on nilpotent classes of a cyclic quiver."""
 
     kind: str
     index: int | None = None
@@ -60,21 +56,11 @@ class SingularityType:
         return cls("A", r)
 
     @classmethod
-    def c_type(cls, r: int) -> "SingularityType":
-        if r < 1:
-            raise ValueError("C-type index must be at least 1")
-        if r == 1:
-            return cls.reg()
-        if r == 2:
-            return cls.a_type(1)
-        return cls("C", r)
-
-    @classmethod
     def unresolved(cls, detail: str) -> "SingularityType":
         return cls("Unresolved", None, detail)
 
     def __str__(self) -> str:
-        if self.kind in ("A", "C"):
+        if self.kind == "A":
             return f"{self.kind}{self.index}"
         return self.kind
 
@@ -287,9 +273,17 @@ def classify(
 def _dim_vectors(n: int, max_total: int):
     """Dimension vectors of rank n, by total 1..max_total, then lexicographically."""
     for total in range(1, max_total + 1):
-        for vec in itertools.product(range(total + 1), repeat=n):
-            if sum(vec) == total:
-                yield vec
+        yield from _compositions(n, total)
+
+
+def _compositions(n: int, total: int):
+    """The n-tuples of nonnegative integers summing to total, lexicographically."""
+    if n == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(n - 1, total - head):
+            yield (head,) + rest
 
 
 def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> SingularityType:
@@ -316,12 +310,12 @@ def scan_rows(max_n: int, max_dim: int):
     shared across the whole scan by the pair left after cancelling common
     summands; Unresolved pairs are listed as found, uncancelled.
     """
-    tally_key = {"Reg": "reg", "A": "a", "C": "c_count"}
+    tally_key = {"Reg": "reg", "A": "a"}
     memo: dict = {}
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
             nodes, self_hom, below = poset(n, d)
-            tally = {"reg": 0, "a": 0, "c_count": 0, "unresolved": 0}
+            tally = {"reg": 0, "a": 0, "unresolved": 0}
             unresolved_pairs = []
             for x, mask in enumerate(below):
                 for y, hom in enumerate(self_hom):

@@ -83,10 +83,6 @@ class Window:
             for v in range(1, self.n + 1)
         )
 
-    # Test oracle: the vertex-rotation symmetry classify is checked against.
-    def shift(self, c: int) -> "Window":
-        return Window(self.n, self.i + c, self.j + c)
-
     def _key(self) -> tuple[int, int, int]:
         return (self.n, self.i, self.j)
 
@@ -223,16 +219,6 @@ class WindowMultiset:
             else:
                 out.append(w)
         return WindowMultiset(self.n, out)
-
-    # Test oracle: the vertex-rotation symmetry classify is checked against.
-    def shift(self, c: int) -> "WindowMultiset":
-        """Relabel vertices by adding c to every window index."""
-        return WindowMultiset(self.n, [w.shift(c) for w in self.windows])
-
-    # Test oracle: the duality symmetry classify is checked against.
-    def dual(self) -> "WindowMultiset":
-        """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
-        return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowMultiset):

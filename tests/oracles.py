@@ -1,0 +1,111 @@
+"""Reference implementations the tests compare the library against.
+
+Nothing in quiverdeg's commands or classifier reaches these, so they live
+with the tests: a second elimination (reduced row echelon form) to check
+`RatMatrix.rank` and `decompose_nilpotent` by, and the direct sum and
+duality constructions whose symmetries Hom, Ext^1 and `classify` must obey.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from quiverdeg.linalg import RatMatrix
+from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
+from quiverdeg.windows import Window, WindowMultiset
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        lead = prow[col]
+        if lead != 1:
+            rows[r] = prow = [x / lead for x in prow]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """Basis of the null space; list length is always cols - rank."""
+    rows = m.row_list()
+    pivots = rref(rows, m.cols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(m.cols):
+        if free in pivot_set:
+            continue
+        vec = [_ZERO] * m.cols
+        vec[free] = _ONE
+        for ridx, pcol in enumerate(pivots):
+            vec[pcol] = -rows[ridx][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def transpose(m: RatMatrix) -> RatMatrix:
+    ent = [
+        m.entries[i * m.cols + j]
+        for j in range(m.cols)
+        for i in range(m.rows)
+    ]
+    return RatMatrix(m.cols, m.rows, ent)
+
+
+def opposite(q: Quiver) -> Quiver:
+    return Quiver(
+        q.vertex_count,
+        tuple(Arrow(a.name, a.target, a.source) for a in q.arrows),
+    )
+
+
+def direct_sum(v: Representation, w: Representation) -> Representation:
+    """Blockwise direct sum over the same quiver."""
+    _require_same_quiver(v, w)
+    dims = tuple(a + b for a, b in zip(v.dims, w.dims))
+    mats = []
+    for mv, mw in zip(v.matrices, w.matrices):
+        rows = mv.rows + mw.rows
+        cols = mv.cols + mw.cols
+        ent = [_ZERO] * (rows * cols)
+        for r in range(mv.rows):
+            for c in range(mv.cols):
+                ent[r * cols + c] = mv.at(r, c)
+        for r in range(mw.rows):
+            for c in range(mw.cols):
+                ent[(mv.rows + r) * cols + (mv.cols + c)] = mw.at(r, c)
+        mats.append(RatMatrix(rows, cols, ent))
+    return Representation(v.quiver, dims, mats)
+
+
+def dual(v: Representation) -> Representation:
+    """Vector-space dual over the opposite quiver; all matrices transposed."""
+    return Representation(
+        opposite(v.quiver), v.dims, tuple(transpose(m) for m in v.matrices)
+    )
+
+
+def multiset_dual(ms: WindowMultiset) -> WindowMultiset:
+    """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
+    return WindowMultiset(ms.n, [Window(ms.n, -w.j, -w.i) for w in ms.windows])

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from quiverdeg import cli, degeneration, formats
+from quiverdeg import cli, degeneration, formats, reps
 from quiverdeg.cli import main
 from quiverdeg.formats import (
     canonical_dumps,
@@ -537,3 +537,63 @@ def test_size_caps_admit_sizes_at_the_cap(runner, tmp_path):
     result = runner.invoke(main, ["codim", path, path])
     assert result.exit_code == 0
     assert result.output == "0\n"
+
+
+class _HomSystemReached(Exception):
+    pass
+
+
+def write_loops(path, loops, dim=40):
+    """Representation file of `loops` zero loops on one vertex of dimension dim."""
+    obj = {
+        "quiver": {
+            "vertex_count": 1,
+            "arrows": [{"id": f"l{k}", "source": 1, "target": 1} for k in range(loops)],
+        },
+        "dims": [dim],
+        "matrices": {f"l{k}": [[0] * dim] * dim for k in range(loops)},
+    }
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.fixture
+def hom_system_unreachable(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _HomSystemReached
+
+    monkeypatch.setattr(reps, "_hom_system", reached)
+
+
+@pytest.mark.parametrize(
+    "loops, entries", [(2, 2 * 40**2 * 40**2), (16, 16 * 40**2 * 40**2)]
+)
+@pytest.mark.parametrize("command", ["hom", "ext"])
+def test_hom_system_cap_exits_2_before_the_system_is_built(
+    runner, tmp_path, hom_system_unreachable, command, loops, entries
+):
+    # The total dimension is at its cap; the arrow count makes the system large.
+    path = write_loops(tmp_path / "loops.json", loops)
+    result = runner.invoke(main, [command, path, path])
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: Hom system entries {entries} exceeds the cap of {40**4}\n"
+    )
+
+
+def test_hom_system_cap_admits_one_loop_at_the_cap(
+    runner, tmp_path, hom_system_unreachable
+):
+    # 1,600 equations x 1,600 unknowns is exactly MAX_TOTAL_DIM ** 4: the
+    # check passes and the builder is reached (and stopped, skipping the rank).
+    path = write_loops(tmp_path / "loop.json", 1)
+    result = runner.invoke(main, ["hom", path, path])
+    assert isinstance(result.exception, _HomSystemReached)
+
+
+def test_hom_on_mismatched_quivers_still_reports_the_mismatch(runner, tmp_path):
+    left = write_loops(tmp_path / "one.json", 1, dim=2)
+    right = write_loops(tmp_path / "two.json", 2, dim=2)
+    result = runner.invoke(main, ["hom", left, right])
+    assert result.exit_code == 2
+    assert result.output == "error: representations live over different quivers\n"

@@ -1,29 +1,43 @@
 """Dead-code gate over src/quiverdeg, read with the stdlib ast module.
 
 Every name a module imports is used in that module (`__init__.py` is
-exempt: it imports to re-export), and every module-level `_private`
+exempt: it imports to re-export), every module-level `_private`
 function or class is referenced somewhere in src/ outside its own
-definition.
+definition, and every public module-level function and public method is
+referenced in src/ outside its own body or by the acceptance suite. A
+re-export in `__init__.py` is not a use, and references are matched by name.
 """
 
 import ast
+import copy
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "quiverdeg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quiverdeg"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+# Decorators that mark a def as reached some other way: click runs commands
+# from the command line, and classmethods and properties are not methods
+# called by name.
+EXEMPT_DECORATORS = {"command", "group", "classmethod", "property"}
+
+
+def _reference_counts(node) -> Counter:
+    """How often each name is read, taken as an attribute or imported under node."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            counts.update(alias.name for alias in sub.names)
+    return counts
 
 
 def _referenced(node) -> set[str]:
-    """Names read, attributes taken and names imported anywhere under node."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            names.update(alias.name for alias in sub.names)
-    return names
+    return set(_reference_counts(node))
 
 
 def test_every_import_is_used():
@@ -63,3 +77,63 @@ def test_every_private_definition_is_referenced():
             if node.name not in elsewhere:
                 unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def _public_definitions(tree):
+    """(qualified name, def node) of public module-level functions and methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _exempt(node) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name in EXEMPT_DECORATORS:
+            return True
+    return False
+
+
+def unreached_public_definitions(trees, acceptance) -> list[str]:
+    in_src = Counter()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            in_src += _reference_counts(tree)
+    in_acceptance = _reference_counts(acceptance)
+    unreached = []
+    for name, tree in trees.items():
+        for qualified, node in _public_definitions(tree):
+            if node.name.startswith("_") or _exempt(node):
+                continue
+            outside = in_src[node.name] - _reference_counts(node)[node.name]
+            if outside <= 0 and node.name not in in_acceptance:
+                unreached.append(f"{name}: {qualified}")
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    unreached = unreached_public_definitions(TREES, ACCEPTANCE)
+    assert not unreached, unreached
+
+
+def test_public_gate_flags_a_method_only_tests_call():
+    # WindowMultiset.dual as it stood before it moved to tests/oracles.py.
+    method = ast.parse(
+        "def dual(self):\n"
+        "    return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])\n"
+    ).body[0]
+    windows = copy.deepcopy(TREES["windows.py"])
+    multiset = next(
+        node for node in windows.body
+        if isinstance(node, ast.ClassDef) and node.name == "WindowMultiset"
+    )
+    multiset.body.append(method)
+    trees = dict(TREES, **{"windows.py": windows})
+    assert unreached_public_definitions(trees, ACCEPTANCE) == [
+        "windows.py: WindowMultiset.dual"
+    ]
