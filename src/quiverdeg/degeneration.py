@@ -175,48 +175,55 @@ def _below_masks(profiles) -> list[int]:
 
 
 def poset(n: int, d: Sequence[int]):
-    """The degeneration order on classes with dimension vector d.
+    """The degeneration order on classes with dimension vector d, graded.
 
-    Returns (nodes, self_hom, below): the classes in enumeration order, their
-    self-Hom dimensions, and bitsets with bit b of below[a] set iff node a
-    degenerates to node b (reflexive).
+    Returns (nodes, self_hom, order, below): the classes in enumeration order
+    and their self-Hom dimensions; order, the enumeration indices sorted by
+    (self-Hom dimension, enumeration index); and bitsets over that graded
+    numbering, with bit h of below[g] set iff node order[g] degenerates to
+    node order[h] (reflexive). Self-Hom grows strictly along a degeneration,
+    so every node strictly below g has a larger number than g.
     """
     nodes = enumerate_nilpotent(n, d)
+    self_hom = [multiset_hom_dim(node, node) for node in nodes]
+    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([_rank_key(node, total) for node in nodes])
-    return nodes, [multiset_hom_dim(node, node) for node in nodes], below
+    below = _below_masks([_rank_key(nodes[e], total) for e in order])
+    return nodes, self_hom, order, below
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _covers(below):
+    """The covering pairs (g, h) of reflexive masks in a graded numbering.
+
+    In a graded numbering every node strictly below g has a larger number
+    than g, so the lowest remaining strict successor h of g is a cover: a
+    node strictly between g and h has a smaller number than h, so it was
+    peeled first and took h along. Each cover is peeled together with
+    everything below it, so the loop runs once per edge rather than once per
+    comparable pair. Pairs come sorted by g, then h.
+    """
+    for g, mask in enumerate(below):
+        rem = mask & ~(1 << g)
+        while rem:
+            h = (rem & -rem).bit_length() - 1
+            yield g, h
+            rem &= ~below[h]
 
 
 def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     """Covering relations of the degeneration order on classes with vector d.
 
-    Edges run from the bigger orbit (upper) to the smaller one and carry the
-    codimension, unlabelled; singularity.annotate adds the labels.
-
-    The covers are the transitive reduction of the order (Aho, Garey and
-    Ullman, SIAM J. Comput. 1, 1972): a covers exactly the nodes strictly
-    below it that lie strictly below none of its other strict successors.
+    Edges run from the bigger orbit (upper) to the smaller one, sorted by
+    (upper, lower) in enumeration order, and carry the codimension,
+    unlabelled; singularity.annotate adds the labels. The covers are the
+    transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
+    Comput. 1, 1972), peeled off the graded masks of poset by _covers.
     """
     d = tuple(int(x) for x in d)
-    nodes, self_hom, below = poset(n, d)
-    strict = [mask & ~(1 << a) for a, mask in enumerate(below)]
-    edges: list[HasseEdge] = []
-    for a, mask in enumerate(strict):
-        reach = 0
-        for m in _bits(mask):
-            reach |= strict[m]
-        edges.extend(
-            HasseEdge(a, b, self_hom[b] - self_hom[a]) for b in _bits(mask & ~reach)
-        )
-    return HasseDiagram(n, d, tuple(nodes), tuple(edges))
+    nodes, self_hom, order, below = poset(n, d)
+    pairs = sorted((order[g], order[h]) for g, h in _covers(below))
+    edges = tuple(HasseEdge(a, b, self_hom[b] - self_hom[a]) for a, b in pairs)
+    return HasseDiagram(n, d, tuple(nodes), edges)
 
 
 def _node_label(ms: WindowMultiset) -> str:

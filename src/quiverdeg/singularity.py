@@ -18,6 +18,7 @@ recording further quotient steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -314,18 +315,24 @@ def scan_rows(max_n: int, max_dim: int):
     memo: dict = {}
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
-            nodes, self_hom, below = poset(n, d)
+            nodes, self_hom, order, below = poset(n, d)
+            grades = [self_hom[e] for e in order]
             tally = {"reg": 0, "a": 0, "unresolved": 0}
             unresolved_pairs = []
-            for x, mask in enumerate(below):
-                for y, hom in enumerate(self_hom):
-                    if hom - self_hom[x] != 2 or not (mask >> y) & 1:
+            # Upper nodes in enumeration order; the nodes whose self-Hom is
+            # two more form one run of the numbering, in enumeration order.
+            for g in sorted(range(len(order)), key=order.__getitem__):
+                grade = grades[g] + 2
+                run = range(bisect_left(grades, grade), bisect_right(grades, grade))
+                for h in run:
+                    if not (below[g] >> h) & 1:
                         continue
-                    verdict = _memo_verdict(memo, nodes[x], nodes[y])
+                    upper, lower = nodes[order[g]], nodes[order[h]]
+                    verdict = _memo_verdict(memo, upper, lower)
                     key = tally_key.get(verdict.kind, "unresolved")
                     tally[key] += 1
                     if key == "unresolved":
-                        unresolved_pairs.append((n, nodes[x], nodes[y]))
+                        unresolved_pairs.append((n, upper, lower))
             yield {
                 "n": n,
                 "dim": d,

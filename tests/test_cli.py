@@ -379,6 +379,23 @@ def test_hasse_333_annotated_bytes_are_pinned(runner, fmt):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == HASSE_333_SHA256[fmt]
 
 
+# SHA-256 of the annotated (5,5,5) diagram (2,899 nodes, 11,313 edges),
+# recorded before the covers were peeled off a graded numbering.
+HASSE_555_SHA256 = {
+    "dot": "cfd3ffe42187a30e736902ed069fd3dbda33f793427e0c5e1b08675a658b6209",
+    "json": "f72bbba9b505f8dc82e729dd6d9c0bc263b675f5f4ee62b9922ff60ac761675a",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HASSE_555_SHA256))
+def test_hasse_555_annotated_bytes_are_pinned(runner, fmt):
+    result = runner.invoke(
+        main, ["hasse", "--n", "3", "--dim", "5,5,5", "--annotate", "--format", fmt]
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == HASSE_555_SHA256[fmt]
+
+
 def test_in_process_call_does_not_keep_its_stdout_alive():
     out = io.StringIO()
     alive = weakref.ref(out)

@@ -5,7 +5,10 @@ exempt: it imports to re-export), every module-level `_private`
 function or class is referenced somewhere in src/ outside its own
 definition, and every public module-level function and public method is
 referenced in src/ outside its own body or by the acceptance suite. A
-re-export in `__init__.py` is not a use, and references are matched by name.
+re-export in `__init__.py` is not a use, and references are matched by name:
+a function by any read of its name, a method only by an attribute access
+`x.name`, and not by `self.name` inside a class with no method of that name
+(that reads the class's own field).
 """
 
 import ast
@@ -33,6 +36,28 @@ def _reference_counts(node) -> Counter:
             counts[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             counts.update(alias.name for alias in sub.names)
+    return counts
+
+
+def _attribute_counts(node) -> Counter:
+    """How often each name is taken as an attribute x.name under node.
+
+    self.name inside a class that defines no method name reads that class's
+    own data, so it reaches no method and is not counted.
+    """
+    counts = Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+    for cls in ast.walk(node):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)}
+        counts -= Counter(
+            sub.attr
+            for sub in ast.walk(cls)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+            and sub.attr not in methods
+        )
     return counts
 
 
@@ -100,18 +125,21 @@ def _exempt(node) -> bool:
 
 
 def unreached_public_definitions(trees, acceptance) -> list[str]:
-    in_src = Counter()
+    counts = (_reference_counts, _attribute_counts)
+    in_src = {count: Counter() for count in counts}
     for name, tree in trees.items():
         if name != "__init__.py":
-            in_src += _reference_counts(tree)
-    in_acceptance = _reference_counts(acceptance)
+            for count in counts:
+                in_src[count] += count(tree)
+    in_acceptance = {count: count(acceptance) for count in counts}
     unreached = []
     for name, tree in trees.items():
         for qualified, node in _public_definitions(tree):
             if node.name.startswith("_") or _exempt(node):
                 continue
-            outside = in_src[node.name] - _reference_counts(node)[node.name]
-            if outside <= 0 and node.name not in in_acceptance:
+            count = _attribute_counts if "." in qualified else _reference_counts
+            outside = in_src[count][node.name] - count(node)[node.name]
+            if outside <= 0 and not in_acceptance[count][node.name]:
                 unreached.append(f"{name}: {qualified}")
     return unreached
 
@@ -137,3 +165,21 @@ def test_public_gate_flags_a_method_only_tests_call():
     assert unreached_public_definitions(trees, ACCEPTANCE) == [
         "windows.py: WindowMultiset.dual"
     ]
+
+
+def test_public_gate_flags_a_method_whose_name_is_also_a_field():
+    # Window.shift as it stood before it was deleted. Only tests called it,
+    # and name matching missed that: ReductionStep has a field shift, read
+    # as self.shift, and classify passes shift=shift.
+    method = ast.parse(
+        "def shift(self, c):\n"
+        "    return Window(self.n, self.i + c, self.j + c)\n"
+    ).body[0]
+    windows = copy.deepcopy(TREES["windows.py"])
+    window = next(
+        node for node in windows.body
+        if isinstance(node, ast.ClassDef) and node.name == "Window"
+    )
+    window.body.append(method)
+    trees = dict(TREES, **{"windows.py": windows})
+    assert unreached_public_definitions(trees, ACCEPTANCE) == ["windows.py: Window.shift"]

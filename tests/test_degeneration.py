@@ -12,6 +12,7 @@ from quiverdeg import degeneration
 from quiverdeg.degeneration import (
     HasseDiagram,
     _below_masks,
+    _covers,
     TestSet as ProbeSet,
     codim,
     degenerates,
@@ -23,7 +24,7 @@ from quiverdeg.degeneration import (
     to_json_obj,
 )
 from quiverdeg.errors import NotADegeneration, RankMismatch
-from quiverdeg.singularity import annotate
+from quiverdeg.singularity import _compositions, annotate
 from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
 
 from conftest import random_multiset
@@ -100,20 +101,11 @@ def test_profile_stabilizes_beyond_total_dim(rng):
 def test_profiles_determine_classes():
     for n in (1, 2, 3):
         for total in range(0, 7):
-            for dims in _dim_vectors(n, total):
+            for dims in _compositions(n, total):
                 classes = enumerate_nilpotent(n, dims)
                 ts = ProbeSet.up_to(n, total)
                 profiles = [hom_profile(c, ts) for c in classes]
                 assert len(set(profiles)) == len(classes)
-
-
-def _dim_vectors(n, total):
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _dim_vectors(n - 1, total - head):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------- the order
@@ -206,7 +198,7 @@ def test_enumeration_matches_brute_force():
     for n in (1, 2, 3):
         for total in range(0, 7):
             got = []
-            for dims in _dim_vectors(n, total):
+            for dims in _compositions(n, total):
                 classes = enumerate_nilpotent(n, dims)
                 assert classes == sorted(
                     set(classes), key=lambda ms: [(w.i, w.j) for w in ms.windows])
@@ -224,10 +216,10 @@ def test_rank_order_equals_hom_order_exhaustively():
     pairs = 0
     for n, max_total in ((1, 14), (2, 8), (3, 8)):
         for total in range(1, max_total + 1):
-            for dims in _dim_vectors(n, total):
-                nodes, _, below = poset(n, dims)
+            for dims in _compositions(n, total):
+                nodes, _, order, below = poset(n, dims)
                 ts = ProbeSet.up_to(n, total)
-                hom_order = _below_masks([hom_profile(node, ts) for node in nodes])
+                hom_order = _below_masks([hom_profile(nodes[e], ts) for e in order])
                 assert below == hom_order, (n, dims)
                 pairs += len(nodes) ** 2
     assert pairs == 113_355
@@ -408,10 +400,40 @@ def test_below_masks_match_componentwise_order(rows):
     assert _below_masks(rows) == expected
 
 
+# Distinct rows: a row strictly below another in the componentwise order has
+# a strictly smaller sum, so sorting by the sum gives a graded numbering, and
+# small entries make equal sums common.
+_distinct_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[st.integers(0, 3)] * width), unique=True, max_size=16
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distinct_rows)
+@example([])
+@example([(0, 0), (0, 1), (1, 0), (1, 1)])
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)])
+def test_peeled_covers_are_the_naive_covers(rows):
+    rows = sorted(rows, key=sum)
+    k = range(len(rows))
+    le = [[all(x <= y for x, y in zip(rows[a], rows[b])) for b in k] for a in k]
+    naive = [
+        (a, b)
+        for a in k
+        for b in k
+        if a != b
+        and le[a][b]
+        and not any(c not in (a, b) and le[a][c] and le[c][b] for c in k)
+    ]
+    assert list(_covers(_below_masks(rows))) == naive
+
+
 def test_hasse_edges_are_the_naive_covers():
     for n in (1, 2, 3):
         for total in range(1, 6):
-            for dims in _dim_vectors(n, total):
+            for dims in _compositions(n, total):
                 nodes = enumerate_nilpotent(n, dims)
                 k = range(len(nodes))
                 below = [

@@ -1,12 +1,13 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from quiverdeg.degeneration import codim, degenerates, enumerate_nilpotent, poset
+from quiverdeg.degeneration import codim, degenerates, enumerate_nilpotent, hasse, poset
 from quiverdeg.errors import (
     BadArity,
     Inconsistent,
@@ -21,6 +22,7 @@ from quiverdeg.singularity import (
     _checked_codim,
     _dim_vectors,
     _terminal_lengths,
+    annotate,
     cancel_common,
     classify,
     model_variety_membership,
@@ -301,10 +303,12 @@ def test_codim2_traces_golden():
     pairs = 0
     for n in range(1, 4):
         for d in _dim_vectors(n, 7):
-            nodes, self_hom, below = poset(n, d)
-            for x, mask in enumerate(below):
+            nodes, self_hom, order, below = poset(n, d)
+            number = {e: g for g, e in enumerate(order)}
+            for x in range(len(nodes)):
+                mask = below[number[x]]
                 for y, hom in enumerate(self_hom):
-                    if hom - self_hom[x] != 2 or not (mask >> y) & 1:
+                    if hom - self_hom[x] != 2 or not (mask >> number[y]) & 1:
                         continue
                     _, trace = classify(nodes[x], nodes[y])
                     digest.update(canonical_dumps(trace.to_obj()).encode())
@@ -313,6 +317,21 @@ def test_codim2_traces_golden():
     assert pairs == 1005
     assert kinds == {"cancel": 860, "socle": 239, "top": 67, "relabel": 64, "terminal": 64}
     assert digest.hexdigest() == TRACES_N3_DIM7_SHA256
+
+
+def test_no_codim2_cover_is_unresolved():
+    # scan lists Unresolved pairs, but a pair that is a Hasse cover must get
+    # a type: every codim-2 cover for n <= 3, total <= 9, and of (5,5,5).
+    vectors = [(n, d) for n in range(1, 4) for d in _dim_vectors(n, 9)]
+    assert len(vectors) == 282
+    covers = {}
+    for n, d in vectors + [(3, (5, 5, 5))]:
+        codim2 = [e for e in annotate(hasse(n, d)).edges if e.codim == 2]
+        for e in codim2:
+            assert re.fullmatch(r"Reg|A[1-9][0-9]*", e.label), (n, d, e)
+        covers[n, d] = len(codim2)
+    assert covers.pop((3, (5, 5, 5))) == 2865
+    assert sum(covers.values()) == 2004
 
 
 def test_dim_vectors_match_the_product_filter():

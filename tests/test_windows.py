@@ -1,4 +1,3 @@
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +16,7 @@ from quiverdeg.errors import (
 )
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Quiver, Arrow, Representation, hom_dim
+from quiverdeg.singularity import _compositions
 from quiverdeg.windows import (
     SimpleMultiset,
     Window,
@@ -45,14 +45,7 @@ def all_multisets(n, dims):
 
 def all_dim_vectors(n, max_total):
     for total in range(0, max_total + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            vec = []
-            prev = -1
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(total + n - 2 - prev)
-            yield tuple(vec)
+        yield from _compositions(n, total)
 
 
 # ---------------------------------------------------------------- windows
