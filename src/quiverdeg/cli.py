@@ -15,40 +15,10 @@ import click
 
 from . import degeneration as dg
 from . import formats
-from .errors import (
-    BadArity,
-    BadResidue,
-    BadWindow,
-    LengthMismatch,
-    NotADegeneration,
-    NotCyclic,
-    NotNilpotent,
-    OutOfScope,
-    ParseError,
-    QuiverMismatch,
-    RankMismatch,
-    ShapeMismatch,
-)
+from .errors import Error, ParseError
 from .reps import ext1_dim, euler_form, hom_dim
 from .singularity import annotate, classify, scan_rows
 from .windows import decompose_nilpotent, realize
-
-# Exit code of each error a command reports; any other error is a bug and
-# ends in a traceback.
-_EXIT_CODES = {
-    ParseError: 2,
-    ShapeMismatch: 2,
-    QuiverMismatch: 2,
-    LengthMismatch: 2,
-    BadWindow: 2,
-    RankMismatch: 2,
-    BadResidue: 2,
-    BadArity: 2,
-    NotCyclic: 2,
-    NotNilpotent: 3,
-    NotADegeneration: 4,
-    OutOfScope: 5,
-}
 
 
 def _exits(fn):
@@ -56,12 +26,14 @@ def _exits(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except tuple(_EXIT_CODES) as exc:
+        except Error as exc:
+            # An error without an exit code is a bug and ends in a traceback.
+            if exc.exit_code is None:
+                raise
             # Not click.echo(err=True), for the reason given in _write_output.
             sys.stderr.write(f"error: {exc}\n")
             sys.stderr.flush()
-            code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
-            sys.exit(code)
+            sys.exit(exc.exit_code)
 
     return wrapper
 

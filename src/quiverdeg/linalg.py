@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,23 +62,11 @@ class RatMatrix:
         self.entries = ent
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, (_ZERO,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         ent = [_ZERO] * (n * n)
         for i in range(n):
             ent[i * n + i] = _ONE
         return cls(n, n, ent)
-
-    @classmethod
-    def from_rows(cls, data: Sequence[Sequence]) -> "RatMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("rows have unequal lengths")
-        return cls(rows, cols, (x for r in data for x in r))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

@@ -82,15 +82,6 @@ class Representation:
         self.dims = dims
         self.matrices = mats
 
-    @classmethod
-    def zero(cls, quiver: Quiver, dims: Sequence[int]) -> "Representation":
-        dims = tuple(int(d) for d in dims)
-        mats = [
-            RatMatrix.zero(dims[a.target - 1], dims[a.source - 1])
-            for a in quiver.arrows
-        ]
-        return cls(quiver, dims, mats)
-
     def total_dim(self) -> int:
         return sum(self.dims)
 

@@ -70,10 +70,6 @@ class Window:
         return self.j - self.i + 1
 
     @property
-    def socle_residue(self) -> int:
-        return self.i
-
-    @property
     def top_residue(self) -> int:
         return residue(self.j, self.n)
 
@@ -93,9 +89,6 @@ class Window:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def __lt__(self, other: "Window") -> bool:
-        return self._key() < other._key()
 
     def __repr__(self) -> str:
         return f"({self.i},{self.j})"
@@ -177,7 +170,7 @@ class WindowMultiset:
     def socle(self) -> SimpleMultiset:
         counts = [0] * self.n
         for w in self.windows:
-            counts[w.socle_residue - 1] += 1
+            counts[w.i - 1] += 1
         return SimpleMultiset(self.n, counts)
 
     def top(self) -> SimpleMultiset:
@@ -193,12 +186,12 @@ class WindowMultiset:
         deleted when i = j; other windows are untouched.
         """
         sel = set(selected_residues)
-        present = {w.socle_residue for w in self.windows}
+        present = {w.i for w in self.windows}
         if not sel <= present:
             raise BadResidue(f"residues {sorted(sel - present)} not present in socle")
         out = []
         for w in self.windows:
-            if w.socle_residue in sel:
+            if w.i in sel:
                 if w.length > 1:
                     out.append(Window(self.n, w.i + 1, w.j))
             else:
@@ -414,7 +407,7 @@ def reconstruct_from_socle_quotient(
     for w in t.windows:
         grown = Window(n, w.i - 1, w.j)
         entries.append(grown)
-        used[grown.socle_residue - 1] += 1
+        used[grown.i - 1] += 1
     for r in range(1, n + 1):
         remaining = u.count(r) - used[r - 1]
         if remaining < 0:

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Nothing in quiverdeg's commands or classifier reaches these, so they live
-with the tests: a second elimination (reduced row echelon form) to check
+with the tests: constructors for zero and row-given matrices and zero
+representations, a second elimination (reduced row echelon form) to check
 `RatMatrix.rank` and `decompose_nilpotent` by, and the direct sum and
 duality constructions whose symmetries Hom, Ext^1 and `classify` must obey.
 """
@@ -9,6 +10,7 @@ duality constructions whose symmetries Hom, Ext^1 and `classify` must obey.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
@@ -16,6 +18,25 @@ from quiverdeg.windows import Window, WindowMultiset
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def zero_matrix(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix(rows, cols, (_ZERO,) * (rows * cols))
+
+
+def matrix_from_rows(data: Sequence[Sequence]) -> RatMatrix:
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    if any(len(r) != cols for r in data):
+        raise ValueError("rows have unequal lengths")
+    return RatMatrix(rows, cols, (x for r in data for x in r))
+
+
+def zero_rep(quiver: Quiver, dims: Sequence[int]) -> Representation:
+    """The representation with every arrow acting as zero."""
+    dims = tuple(int(d) for d in dims)
+    mats = [zero_matrix(dims[a.target - 1], dims[a.source - 1]) for a in quiver.arrows]
+    return Representation(quiver, dims, mats)
 
 
 def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:

@@ -8,7 +8,7 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from quiverdeg import cli, degeneration, formats, reps
+from quiverdeg import cli, degeneration, errors, formats, reps
 from quiverdeg.cli import main
 from quiverdeg.formats import (
     canonical_dumps,
@@ -192,6 +192,50 @@ def test_classify_not_a_degeneration_exits_4(runner, tmp_path):
     nn = write_windows(tmp_path / "n.json", 2, [(1, 4)])
     result = runner.invoke(main, ["classify", m, nn])
     assert result.exit_code == 4
+
+
+# The CLI exit code of each error class; None ends in a traceback.
+EXIT_CODES = {
+    "ParseError": 2,
+    "ShapeMismatch": 2,
+    "QuiverMismatch": 2,
+    "LengthMismatch": 2,
+    "BadWindow": 2,
+    "RankMismatch": 2,
+    "BadResidue": 2,
+    "BadArity": 2,
+    "NotCyclic": 2,
+    "NotNilpotent": 3,
+    "NotADegeneration": 4,
+    "OutOfScope": 5,
+    "Error": None,
+    "Inconsistent": None,
+    "SocleNotEmbeddable": None,
+    "TopNotLiftable": None,
+}
+
+
+def test_each_error_carries_its_exit_code():
+    classes = {
+        name: obj for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.Error)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+
+
+def test_an_error_without_an_exit_code_ends_in_a_traceback(runner, tmp_path, monkeypatch):
+    def broken(m, nn):
+        raise errors.Inconsistent("broken invariant")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    m = write_windows(tmp_path / "m.json", 1, [(1, 2)])
+    nn = write_windows(tmp_path / "n.json", 1, [(1, 1), (1, 1)])
+    result = runner.invoke(main, ["classify", m, nn])
+    assert isinstance(result.exception, errors.Inconsistent)
+    assert result.exit_code == 1
+    assert "error:" not in result.output
+    with pytest.raises(errors.Inconsistent, match="broken invariant"):
+        runner.invoke(main, ["classify", m, nn], catch_exceptions=False)
 
 
 def test_hasse_dot_annotated(runner):

@@ -1,18 +1,21 @@
 """Dead-code gate over src/quiverdeg, read with the stdlib ast module.
 
-Every name a module imports is used in that module (`__init__.py` is
-exempt: it imports to re-export), every module-level `_private`
-function or class is referenced somewhere in src/ outside its own
-definition, and every public module-level function and public method is
-referenced in src/ outside its own body or by the acceptance suite. A
-re-export in `__init__.py` is not a use, and references are matched by name:
-a function by any read of its name, a method only by an attribute access
-`x.name`, and not by `self.name` inside a class with no method of that name
-(that reads the class's own field).
+`__init__.py` is only its docstring, and importing the package loads no
+submodule: the API is the submodules. Every name a module imports is used
+in that module, every module-level `_private` function or class is
+referenced somewhere in src/ outside its own definition, and every public
+module-level function and public method (classmethods and properties
+included) is referenced in src/ outside its own body or by the acceptance
+suite. References are matched by name: a function by any read of its name,
+a method only by an attribute access `x.name`, and not by `self.name` inside
+a class with no method of that name (that reads the class's own field).
 """
 
 import ast
 import copy
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -21,9 +24,8 @@ SRC = ROOT / "src" / "quiverdeg"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
 # Decorators that mark a def as reached some other way: click runs commands
-# from the command line, and classmethods and properties are not methods
-# called by name.
-EXEMPT_DECORATORS = {"command", "group", "classmethod", "property"}
+# from the command line.
+EXEMPT_DECORATORS = {"command", "group"}
 
 
 def _reference_counts(node) -> Counter:
@@ -65,11 +67,30 @@ def _referenced(node) -> set[str]:
     return set(_reference_counts(node))
 
 
+def test_package_init_is_only_its_docstring():
+    tree = TREES["__init__.py"]
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, quiverdeg; "
+            "print(sorted(m for m in sys.modules if m.startswith('quiverdeg.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    assert loaded.stdout.strip() == "[]"
+
+
 def test_every_import_is_used():
     unused = []
     for name, tree in TREES.items():
-        if name == "__init__.py":
-            continue
         imported = {}
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -127,10 +148,9 @@ def _exempt(node) -> bool:
 def unreached_public_definitions(trees, acceptance) -> list[str]:
     counts = (_reference_counts, _attribute_counts)
     in_src = {count: Counter() for count in counts}
-    for name, tree in trees.items():
-        if name != "__init__.py":
-            for count in counts:
-                in_src[count] += count(tree)
+    for tree in trees.values():
+        for count in counts:
+            in_src[count] += count(tree)
     in_acceptance = {count: count(acceptance) for count in counts}
     unreached = []
     for name, tree in trees.items():
@@ -183,3 +203,22 @@ def test_public_gate_flags_a_method_whose_name_is_also_a_field():
     window.body.append(method)
     trees = dict(TREES, **{"windows.py": windows})
     assert unreached_public_definitions(trees, ACCEPTANCE) == ["windows.py: Window.shift"]
+
+
+def test_public_gate_flags_a_classmethod_only_tests_call():
+    # RatMatrix.from_rows as it stood before it moved to tests/oracles.py.
+    method = ast.parse(
+        "@classmethod\n"
+        "def from_rows(cls, data):\n"
+        "    rows = len(data)\n"
+        "    cols = len(data[0]) if rows else 0\n"
+        "    return cls(rows, cols, (x for r in data for x in r))\n"
+    ).body[0]
+    linalg = copy.deepcopy(TREES["linalg.py"])
+    matrix = next(
+        node for node in linalg.body
+        if isinstance(node, ast.ClassDef) and node.name == "RatMatrix"
+    )
+    matrix.body.append(method)
+    trees = dict(TREES, **{"linalg.py": linalg})
+    assert unreached_public_definitions(trees, ACCEPTANCE) == ["linalg.py: RatMatrix.from_rows"]

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from quiverdeg.errors import LengthMismatch, QuiverMismatch, ShapeMismatch
-from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import (
     Arrow,
     Quiver,
@@ -17,24 +16,24 @@ from quiverdeg.reps import (
 from quiverdeg.windows import Window, WindowMultiset, cyclic_quiver, decompose_nilpotent, realize
 
 from conftest import random_multiset
-from oracles import direct_sum, dual, opposite
+from oracles import direct_sum, dual, matrix_from_rows, opposite, zero_matrix, zero_rep
 
 LOOP = cyclic_quiver(1)
 KRONECKER = Quiver(2, (Arrow("x", 1, 2), Arrow("y", 1, 2)))
 
 
 def loop_rep(matrix_rows):
-    m = RatMatrix.from_rows(matrix_rows)
+    m = matrix_from_rows(matrix_rows)
     return Representation(LOOP, (m.rows,), (m,))
 
 
 def jordan_block(size):
     rows = [[1 if c == r + 1 else 0 for c in range(size)] for r in range(size)]
-    return loop_rep(rows) if size else Representation.zero(LOOP, (0,))
+    return loop_rep(rows) if size else zero_rep(LOOP, (0,))
 
 
 def test_validate_zero_rep():
-    rep = Representation.zero(KRONECKER, (2, 3))
+    rep = zero_rep(KRONECKER, (2, 3))
     assert Representation(rep.quiver, rep.dims, rep.matrices) == rep
     assert [(m.rows, m.cols) for m in rep.matrices] == [(3, 2), (3, 2)]
 
@@ -49,7 +48,7 @@ def test_validate_loop_square():
 def test_validate_rejects_transposed_shape():
     q = Quiver(2, (Arrow("a", 1, 2),))
     with pytest.raises(ShapeMismatch, match="'a'"):
-        Representation(q, (2, 3), (RatMatrix.zero(2, 3),))
+        Representation(q, (2, 3), (zero_matrix(2, 3),))
 
 
 def test_hom_dim_loop_jordan_blocks():
@@ -59,7 +58,7 @@ def test_hom_dim_loop_jordan_blocks():
 
 
 def test_hom_dim_simple_endomorphisms():
-    simple = Representation.zero(KRONECKER, (1, 0))
+    simple = zero_rep(KRONECKER, (1, 0))
     assert hom_dim(simple, simple) == 1
 
 
@@ -71,13 +70,13 @@ def test_hom_dim_cyclic_windows():
 
 def test_hom_dim_quiver_mismatch():
     with pytest.raises(QuiverMismatch):
-        hom_dim(jordan_block(1), Representation.zero(KRONECKER, (1, 1)))
+        hom_dim(jordan_block(1), zero_rep(KRONECKER, (1, 1)))
 
 
 def test_ext1_no_arrows():
     q = Quiver(2, ())
-    a = Representation.zero(q, (2, 1))
-    b = Representation.zero(q, (1, 3))
+    a = zero_rep(q, (2, 1))
+    b = zero_rep(q, (1, 3))
     assert ext1_dim(a, b) == 0
 
 
@@ -92,8 +91,8 @@ def test_ext1_loop_self_extension():
 
 
 def test_ext1_kronecker_simples():
-    s_a = Representation.zero(KRONECKER, (1, 0))
-    s_b = Representation.zero(KRONECKER, (0, 1))
+    s_a = zero_rep(KRONECKER, (1, 0))
+    s_b = zero_rep(KRONECKER, (0, 1))
     assert ext1_dim(s_a, s_b) == 2
     assert hom_dim(s_a, s_b) == 0
 
@@ -118,7 +117,7 @@ def test_euler_form_matches_hom_minus_ext(rng):
 
 
 def test_orbit_dim_values():
-    simple = Representation.zero(KRONECKER, (1, 0))
+    simple = zero_rep(KRONECKER, (1, 0))
     assert orbit_dim(simple) == 0
     assert orbit_dim(jordan_block(1)) == 0
     assert orbit_dim(jordan_block(2)) == 2
@@ -133,7 +132,7 @@ def test_orbit_dim_complements_self_hom(rng):
 
 def test_direct_sum_dims_and_zero():
     v = jordan_block(2)
-    z = Representation.zero(LOOP, (0,))
+    z = zero_rep(LOOP, (0,))
     assert direct_sum(v, z).dims == v.dims
     assert direct_sum(v, v).dims == (4,)
 
@@ -148,7 +147,7 @@ def test_hom_biadditive_over_direct_sum(rng):
 
 
 def test_dual_of_zero():
-    z = Representation.zero(KRONECKER, (1, 2))
+    z = zero_rep(KRONECKER, (1, 2))
     d = dual(z)
     assert d.quiver == opposite(KRONECKER)
     assert d.dims == (1, 2)
