@@ -62,21 +62,13 @@ class RankMismatch(Error):
 
 
 class BadResidue(Error):
-    """A selected residue is not available in the socle or top."""
+    """A selected residue is not available in the socle."""
 
     exit_code = 2
 
 
 class Inconsistent(Error):
     """Internal structural assertion failed; signals a bug or corrupt input."""
-
-
-class SocleNotEmbeddable(Error):
-    """The socle of the degenerating class does not embed into the other socle."""
-
-
-class TopNotLiftable(Error):
-    """The top of the degenerating class does not lift to the other top."""
 
 
 class NotADegeneration(Error):

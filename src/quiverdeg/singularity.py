@@ -29,22 +29,19 @@ from .errors import (
     NotADegeneration,
     OutOfScope,
     RankMismatch,
-    SocleNotEmbeddable,
-    TopNotLiftable,
 )
 from .degeneration import HasseDiagram, codim, poset
 from .linalg import parse_rational
-from .windows import WindowMultiset
+from .windows import WindowMultiset, residue
 
 
 @dataclass(frozen=True)
 class SingularityType:
-    """Reg, A(r) or Unresolved(diagnostic): the only answers the classifier
-    gives on nilpotent classes of a cyclic quiver."""
+    """Reg, A(r) or Unresolved: the only answers the classifier gives on
+    nilpotent classes of a cyclic quiver."""
 
     kind: str
     index: int | None = None
-    detail: str = ""
 
     @classmethod
     def reg(cls) -> "SingularityType":
@@ -57,8 +54,8 @@ class SingularityType:
         return cls("A", r)
 
     @classmethod
-    def unresolved(cls, detail: str) -> "SingularityType":
-        return cls("Unresolved", None, detail)
+    def unresolved(cls) -> "SingularityType":
+        return cls("Unresolved")
 
     def __str__(self) -> str:
         if self.kind == "A":
@@ -145,39 +142,36 @@ def cancel_common(
     return WindowMultiset(m.n, keep_a), WindowMultiset(nn.n, keep_b)
 
 
-def _end_reduce(m, nn, end, ends, quotient, not_embedded):
-    """Quotient both sides at the `end` residues of m, when that is sound.
+def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
+    """Quotient both sides by the socle of m, when that is sound.
 
-    Let u = ends(m) and w = ends(nn) - u. When u and w share no residue, the
-    unique copy of u inside nn is all of its `end` at u's residues, and
+    Let u = socle(m) and w = socle(nn) - u. When u and w share no residue,
+    the unique copy of u inside nn is all of its socle at u's residues, and
     quotienting both sides preserves the singularity type. Returns the
     reduced pair plus the residues used, or None when u and w collide.
     """
     if m.n != nn.n:
         raise RankMismatch("multisets have different ranks")
-    counts = list(zip(ends(m).counts, ends(nn).counts))
+    counts = list(zip(m.socle().counts, nn.socle().counts))
     if any(a > b for a, b in counts):
-        raise not_embedded(f"{end} of the degenerating class exceeds the other {end}")
+        raise Inconsistent("socle of the degenerating class exceeds the other socle")
     if any(0 < a < b for a, b in counts):
         return None
     residues = tuple(r for r, (a, _) in enumerate(counts, 1) if a)
-    return quotient(m, residues), quotient(nn, residues), residues
-
-
-def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
-    """Quotient both sides by the socle of m, when that is sound."""
-    return _end_reduce(
-        m, nn, "socle", WindowMultiset.socle,
-        WindowMultiset.quotient_by_socle, SocleNotEmbeddable,
-    )
+    return m.quotient_by_socle(residues), nn.quotient_by_socle(residues), residues
 
 
 def top_reduce(m: WindowMultiset, nn: WindowMultiset):
-    """Dual of socle_reduce: pass to radicals at the top residues of m."""
-    return _end_reduce(
-        m, nn, "top", WindowMultiset.top,
-        WindowMultiset.quotient_to_radical, TopNotLiftable,
-    )
+    """Pass both sides to radicals at the top residues of m, when that is sound.
+
+    This is socle_reduce read through the duality [i, j] -> [-j, -i], which
+    sends the socle residue r of the dual to the top residue -r of the class.
+    """
+    reduced = socle_reduce(m.dual(), nn.dual())
+    if reduced is None:
+        return None
+    dm, dn, residues = reduced
+    return dm.dual(), dn.dual(), tuple(sorted(residue(-r, m.n) for r in residues))
 
 
 def _terminal_lengths(
@@ -193,7 +187,7 @@ def _terminal_lengths(
     p, q = nn.windows
     if not (w.i == p.i == q.i):
         raise Inconsistent("terminal windows must share their socle residue")
-    if not (w.top_residue == p.top_residue == q.top_residue):
+    if not (residue(w.j, n) == residue(p.j, n) == residue(q.j, n)):
         raise Inconsistent("terminal windows must share their top residue")
     if w.length % n or p.length % n or q.length % n:
         raise Inconsistent("terminal window lengths must be multiples of the rank")
@@ -263,9 +257,7 @@ def classify(
                 ReductionStep("terminal", cm, cn, current, lengths=(a, b, c))
             )
             break
-        result = SingularityType.unresolved(
-            f"stuck pair {cm!r} -> {cn!r} with {cn.summand_count()} summands"
-        )
+        result = SingularityType.unresolved()
         break
     trace.result = result
     return result, trace

@@ -12,9 +12,11 @@ classes are equal values.
 A finite multiset of windows is exactly an isomorphism class of nilpotent
 representations (Krull-Schmidt), which makes socle, top and quotient
 calculus pure bookkeeping on the endpoints: the socle of [i, j] is the
-simple at the residue of i, the top the simple at the residue of j, the
-quotient by the socle is [i+1, j] and the radical is [i, j-1] (empty when
-i = j).
+simple at the residue of i, the top the simple at the residue of j, and the
+quotient by the socle is [i+1, j] (empty when i = j). The duality
+Hom_k(-, k) takes the cyclic quiver to its opposite, which is the cyclic
+quiver again, and [i, j] to [-j, -i]; it swaps socle and top, so the top
+and the radical are read off the dual.
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ class Window:
     @property
     def length(self) -> int:
         return self.j - self.i + 1
-
-    @property
-    def top_residue(self) -> int:
-        return residue(self.j, self.n)
 
     def dim_vector(self) -> tuple[int, ...]:
         return tuple(
@@ -173,12 +171,6 @@ class WindowMultiset:
             counts[w.i - 1] += 1
         return SimpleMultiset(self.n, counts)
 
-    def top(self) -> SimpleMultiset:
-        counts = [0] * self.n
-        for w in self.windows:
-            counts[w.top_residue - 1] += 1
-        return SimpleMultiset(self.n, counts)
-
     def quotient_by_socle(self, selected_residues: Iterable[int]) -> "WindowMultiset":
         """Quotient by the socle summands at the selected residues.
 
@@ -198,20 +190,10 @@ class WindowMultiset:
                 out.append(w)
         return WindowMultiset(self.n, out)
 
-    def quotient_to_radical(self, selected_residues: Iterable[int]) -> "WindowMultiset":
-        """Pass to the radical at the selected top residues: (i, j) -> (i, j-1)."""
-        sel = set(selected_residues)
-        present = {w.top_residue for w in self.windows}
-        if not sel <= present:
-            raise BadResidue(f"residues {sorted(sel - present)} not present in top")
-        out = []
-        for w in self.windows:
-            if w.top_residue in sel:
-                if w.length > 1:
-                    out.append(Window(self.n, w.i, w.j - 1))
-            else:
-                out.append(w)
-        return WindowMultiset(self.n, out)
+    def dual(self) -> "WindowMultiset":
+        """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
+        n = self.n
+        return WindowMultiset(n, [Window(n, -w.j, -w.i) for w in self.windows])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WindowMultiset):

@@ -3,8 +3,10 @@
 Nothing in quiverdeg's commands or classifier reaches these, so they live
 with the tests: constructors for zero and row-given matrices and zero
 representations, a second elimination (reduced row echelon form) to check
-`RatMatrix.rank` and `decompose_nilpotent` by, and the direct sum and
-duality constructions whose symmetries Hom, Ext^1 and `classify` must obey.
+`RatMatrix.rank` and `decompose_nilpotent` by, the direct sum and duality
+constructions whose symmetries Hom, Ext^1 and `classify` must obey, and the
+top and radical read directly off the window ends, to check `top_reduce`
+(the socle move on the dual) by.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from quiverdeg.errors import BadResidue, Inconsistent, RankMismatch
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
-from quiverdeg.windows import Window, WindowMultiset
+from quiverdeg.windows import SimpleMultiset, Window, WindowMultiset, residue
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -130,3 +133,40 @@ def dual(v: Representation) -> Representation:
 def multiset_dual(ms: WindowMultiset) -> WindowMultiset:
     """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
     return WindowMultiset(ms.n, [Window(ms.n, -w.j, -w.i) for w in ms.windows])
+
+
+def multiset_top(ms: WindowMultiset) -> SimpleMultiset:
+    """The top: one simple at the residue of j for each window (i, j)."""
+    counts = [0] * ms.n
+    for w in ms.windows:
+        counts[residue(w.j, ms.n) - 1] += 1
+    return SimpleMultiset(ms.n, counts)
+
+
+def quotient_to_radical(ms: WindowMultiset, selected_residues) -> WindowMultiset:
+    """Pass to the radical at the selected top residues: (i, j) -> (i, j-1)."""
+    sel = set(selected_residues)
+    present = {residue(w.j, ms.n) for w in ms.windows}
+    if not sel <= present:
+        raise BadResidue(f"residues {sorted(sel - present)} not present in top")
+    out = []
+    for w in ms.windows:
+        if residue(w.j, ms.n) in sel:
+            if w.length > 1:
+                out.append(Window(ms.n, w.i, w.j - 1))
+        else:
+            out.append(w)
+    return WindowMultiset(ms.n, out)
+
+
+def top_reduce(m: WindowMultiset, nn: WindowMultiset):
+    """top_reduce read directly off the tops, without passing to the dual."""
+    if m.n != nn.n:
+        raise RankMismatch("multisets have different ranks")
+    counts = list(zip(multiset_top(m).counts, multiset_top(nn).counts))
+    if any(a > b for a, b in counts):
+        raise Inconsistent("top of the degenerating class exceeds the other top")
+    if any(0 < a < b for a, b in counts):
+        return None
+    residues = tuple(r for r, (a, _) in enumerate(counts, 1) if a)
+    return quotient_to_radical(m, residues), quotient_to_radical(nn, residues), residues

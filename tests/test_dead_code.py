@@ -170,20 +170,21 @@ def test_every_public_definition_is_reached():
 
 
 def test_public_gate_flags_a_method_only_tests_call():
-    # WindowMultiset.dual as it stood before it moved to tests/oracles.py.
+    # SimpleMultiset.total as it stood before its one test inlined it; no
+    # .total attribute is read in src/.
     method = ast.parse(
-        "def dual(self):\n"
-        "    return WindowMultiset(self.n, [Window(self.n, -w.j, -w.i) for w in self.windows])\n"
+        "def total(self):\n"
+        "    return sum(self.counts)\n"
     ).body[0]
     windows = copy.deepcopy(TREES["windows.py"])
     multiset = next(
         node for node in windows.body
-        if isinstance(node, ast.ClassDef) and node.name == "WindowMultiset"
+        if isinstance(node, ast.ClassDef) and node.name == "SimpleMultiset"
     )
     multiset.body.append(method)
     trees = dict(TREES, **{"windows.py": windows})
     assert unreached_public_definitions(trees, ACCEPTANCE) == [
-        "windows.py: WindowMultiset.dual"
+        "windows.py: SimpleMultiset.total"
     ]
 
 
