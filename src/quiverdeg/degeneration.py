@@ -174,24 +174,6 @@ def _below_masks(profiles) -> list[int]:
     return masks
 
 
-def poset(n: int, d: Sequence[int]):
-    """The degeneration order on classes with dimension vector d, graded.
-
-    Returns (nodes, self_hom, order, below): the classes in enumeration order
-    and their self-Hom dimensions; order, the enumeration indices sorted by
-    (self-Hom dimension, enumeration index); and bitsets over that graded
-    numbering, with bit h of below[g] set iff node order[g] degenerates to
-    node order[h] (reflexive). Self-Hom grows strictly along a degeneration,
-    so every node strictly below g has a larger number than g.
-    """
-    nodes = enumerate_nilpotent(n, d)
-    self_hom = [multiset_hom_dim(node, node) for node in nodes]
-    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
-    total = sum(d)
-    below = _below_masks([_rank_key(nodes[e], total) for e in order])
-    return nodes, self_hom, order, below
-
-
 def _covers(below):
     """The covering pairs (g, h) of reflexive masks in a graded numbering.
 
@@ -217,13 +199,40 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     (upper, lower) in enumeration order, and carry the codimension,
     unlabelled; singularity.annotate adds the labels. The covers are the
     transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
-    Comput. 1, 1972), peeled off the graded masks of poset by _covers.
+    Comput. 1, 1972), peeled by _covers off masks over the classes sorted
+    by self-Hom dimension, which grows strictly along a degeneration.
     """
     d = tuple(int(x) for x in d)
-    nodes, self_hom, order, below = poset(n, d)
+    nodes = enumerate_nilpotent(n, d)
+    self_hom = [multiset_hom_dim(node, node) for node in nodes]
+    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
+    total = sum(d)
+    below = _below_masks([_rank_key(nodes[e], total) for e in order])
     pairs = sorted((order[g], order[h]) for g, h in _covers(below))
     edges = tuple(HasseEdge(a, b, self_hom[b] - self_hom[a]) for a, b in pairs)
     return HasseDiagram(n, d, tuple(nodes), edges)
+
+
+def codim2_pairs(diagram: HasseDiagram) -> list[tuple[int, int]]:
+    """Sorted (upper, lower) node indices of diagram's codimension-2 pairs.
+
+    A proper degeneration has codimension >= 1 and codimension adds along a
+    chain, so a maximal chain of covers from upper to lower is one cover of
+    codimension 2 or two of codimension 1; conversely each of these gives a
+    codimension-2 degeneration. The set merges composites that share their
+    ends through different middle classes.
+    """
+    down: dict[int, list[int]] = {}
+    pairs = set()
+    for e in diagram.edges:
+        if e.codim == 1:
+            down.setdefault(e.upper, []).append(e.lower)
+        elif e.codim == 2:
+            pairs.add((e.upper, e.lower))
+    for upper, middles in down.items():
+        for middle in middles:
+            pairs.update((upper, lower) for lower in down.get(middle, ()))
+    return sorted(pairs)
 
 
 def _node_label(ms: WindowMultiset) -> str:

@@ -18,7 +18,6 @@ recording further quotient steps.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +29,7 @@ from .errors import (
     OutOfScope,
     RankMismatch,
 )
-from .degeneration import HasseDiagram, codim, poset
+from .degeneration import HasseDiagram, codim, codim2_pairs, hasse
 from .linalg import parse_rational
 from .windows import WindowMultiset, residue
 
@@ -307,28 +306,20 @@ def scan_rows(max_n: int, max_dim: int):
     memo: dict = {}
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
-            nodes, self_hom, order, below = poset(n, d)
-            grades = [self_hom[e] for e in order]
+            diagram = hasse(n, d)
             tally = {"reg": 0, "a": 0, "unresolved": 0}
             unresolved_pairs = []
-            # Upper nodes in enumeration order; the nodes whose self-Hom is
-            # two more form one run of the numbering, in enumeration order.
-            for g in sorted(range(len(order)), key=order.__getitem__):
-                grade = grades[g] + 2
-                run = range(bisect_left(grades, grade), bisect_right(grades, grade))
-                for h in run:
-                    if not (below[g] >> h) & 1:
-                        continue
-                    upper, lower = nodes[order[g]], nodes[order[h]]
-                    verdict = _memo_verdict(memo, upper, lower)
-                    key = tally_key.get(verdict.kind, "unresolved")
-                    tally[key] += 1
-                    if key == "unresolved":
-                        unresolved_pairs.append((n, upper, lower))
+            for a, b in codim2_pairs(diagram):
+                upper, lower = diagram.nodes[a], diagram.nodes[b]
+                verdict = _memo_verdict(memo, upper, lower)
+                key = tally_key.get(verdict.kind, "unresolved")
+                tally[key] += 1
+                if key == "unresolved":
+                    unresolved_pairs.append((n, upper, lower))
             yield {
                 "n": n,
                 "dim": d,
-                "classes": len(nodes),
+                "classes": len(diagram.nodes),
                 "codim2": sum(tally.values()),
                 **tally,
                 "unresolved_pairs": unresolved_pairs,

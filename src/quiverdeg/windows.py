@@ -218,23 +218,20 @@ def cyclic_quiver(n: int) -> Quiver:
     return Quiver(n, arrows)
 
 
-def is_cyclic_quiver(q: Quiver) -> bool:
-    n = q.vertex_count
-    if n < 1 or len(q.arrows) != n:
-        return False
-    sources = sorted(a.source for a in q.arrows)
-    if sources != list(range(1, n + 1)):
-        return False
-    return all(a.target == residue(a.source - 1, n) for a in q.arrows)
-
-
 def require_cyclic(q: Quiver) -> int:
     """Rank of the cyclic quiver, or NotCyclic."""
-    if not is_cyclic_quiver(q):
+    n = q.vertex_count
+    # Sorted sources equal to 1..n already mean n arrows.
+    sources = sorted(a.source for a in q.arrows)
+    if (
+        n < 1
+        or sources != list(range(1, n + 1))
+        or any(a.target != residue(a.source - 1, n) for a in q.arrows)
+    ):
         raise NotCyclic(
             "expected the cyclic quiver with one arrow from each vertex v to v-1"
         )
-    return q.vertex_count
+    return n
 
 
 def realize(ms: WindowMultiset) -> Representation:

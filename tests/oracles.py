@@ -4,20 +4,30 @@ Nothing in quiverdeg's commands or classifier reaches these, so they live
 with the tests: constructors for zero and row-given matrices and zero
 representations, a second elimination (reduced row echelon form) to check
 `RatMatrix.rank` and `decompose_nilpotent` by, the direct sum and duality
-constructions whose symmetries Hom, Ext^1 and `classify` must obey, and the
+constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
-(the socle move on the dual) by.
+(the socle move on the dual) by, and the degeneration order as bitsets over
+a graded numbering with the codimension-2 pairs searched off it, to check
+`degeneration.codim2_pairs` (read off the Hasse covers) by.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
+from quiverdeg.degeneration import _below_masks, _rank_key, enumerate_nilpotent
 from quiverdeg.errors import BadResidue, Inconsistent, RankMismatch
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
-from quiverdeg.windows import SimpleMultiset, Window, WindowMultiset, residue
+from quiverdeg.windows import (
+    SimpleMultiset,
+    Window,
+    WindowMultiset,
+    multiset_hom_dim,
+    residue,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -170,3 +180,39 @@ def top_reduce(m: WindowMultiset, nn: WindowMultiset):
         return None
     residues = tuple(r for r, (a, _) in enumerate(counts, 1) if a)
     return quotient_to_radical(m, residues), quotient_to_radical(nn, residues), residues
+
+
+def graded_masks(n: int, d: Sequence[int]):
+    """The degeneration order on classes with dimension vector d, graded.
+
+    Returns (nodes, self_hom, order, below): the classes in enumeration order
+    and their self-Hom dimensions; order, the enumeration indices sorted by
+    (self-Hom dimension, enumeration index); and bitsets over that graded
+    numbering, with bit h of below[g] set iff node order[g] degenerates to
+    node order[h] (reflexive). Self-Hom grows strictly along a degeneration,
+    so every node strictly below g has a larger number than g.
+    """
+    nodes = enumerate_nilpotent(n, d)
+    self_hom = [multiset_hom_dim(node, node) for node in nodes]
+    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
+    total = sum(d)
+    below = _below_masks([_rank_key(nodes[e], total) for e in order])
+    return nodes, self_hom, order, below
+
+
+def codim2_pairs_from_masks(n: int, d: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (upper, lower) pair at codimension 2, searched off graded_masks.
+
+    Upper nodes in enumeration order; the nodes whose self-Hom is two more
+    form one run of the graded numbering, in enumeration order, and each is
+    kept when its bit is set in the upper node's mask.
+    """
+    _, self_hom, order, below = graded_masks(n, d)
+    grades = [self_hom[e] for e in order]
+    pairs = []
+    for g in sorted(range(len(order)), key=order.__getitem__):
+        grade = grades[g] + 2
+        for h in range(bisect_left(grades, grade), bisect_right(grades, grade)):
+            if (below[g] >> h) & 1:
+                pairs.append((order[g], order[h]))
+    return pairs

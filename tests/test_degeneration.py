@@ -15,19 +15,20 @@ from quiverdeg.degeneration import (
     _covers,
     TestSet as ProbeSet,
     codim,
+    codim2_pairs,
     degenerates,
     enumerate_nilpotent,
     hasse,
     hom_profile,
-    poset,
     to_dot,
     to_json_obj,
 )
 from quiverdeg.errors import NotADegeneration, RankMismatch
-from quiverdeg.singularity import _compositions, annotate
+from quiverdeg.singularity import _compositions, _dim_vectors, annotate
 from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
 
 from conftest import random_multiset
+from oracles import codim2_pairs_from_masks, graded_masks
 
 
 def partitions(total):
@@ -211,13 +212,13 @@ def test_enumeration_matches_brute_force():
 
 
 def test_rank_order_equals_hom_order_exhaustively():
-    # Kempken's rank order (poset) against the Hom order, on every ordered
-    # pair of classes for n = 1 to total 14 and n = 2, 3 to total 8.
+    # Kempken's rank order (graded_masks) against the Hom order, on every
+    # ordered pair of classes for n = 1 to total 14 and n = 2, 3 to total 8.
     pairs = 0
     for n, max_total in ((1, 14), (2, 8), (3, 8)):
         for total in range(1, max_total + 1):
             for dims in _compositions(n, total):
-                nodes, _, order, below = poset(n, dims)
+                nodes, _, order, below = graded_masks(n, dims)
                 ts = ProbeSet.up_to(n, total)
                 hom_order = _below_masks([hom_profile(nodes[e], ts) for e in order])
                 assert below == hom_order, (n, dims)
@@ -450,6 +451,28 @@ def test_hasse_edges_are_the_naive_covers():
                 assert list(diagram.nodes) == nodes
                 got = [(e.upper, e.lower, e.codim) for e in diagram.edges]
                 assert got == covers, (n, dims)
+
+
+def test_codim2_pairs_equal_the_mask_search():
+    # The covers of codimension 2 plus the composites of two codimension-1
+    # covers, against every pair two self-Hom grades apart that the masks
+    # order. Rank 1 has no composites: its orbit dimensions are all even.
+    vectors = [
+        (n, d)
+        for n, max_total in ((1, 16), (2, 10), (3, 8), (4, 7))
+        for d in _dim_vectors(n, max_total)
+    ]
+    assert len(vectors) == 574
+    counts = {}
+    for n, d in vectors + [(3, (5, 5, 5))]:
+        diagram = hasse(n, d)
+        pairs = codim2_pairs(diagram)
+        assert pairs == codim2_pairs_from_masks(n, d), (n, d)
+        covers = sum(e.codim == 2 for e in diagram.edges)
+        counts[n, d] = (covers, len(pairs) - covers)
+    assert counts.pop((3, (5, 5, 5))) == (2865, 10209)
+    assert sum(c for (n, _), (_, c) in counts.items() if n == 1) == 0
+    assert [sum(col) for col in zip(*counts.values())] == [3321, 2931]
 
 
 def test_enumerate_nilpotent_leaves_no_reference_cycles():

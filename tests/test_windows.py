@@ -23,13 +23,13 @@ from quiverdeg.windows import (
     WindowMultiset,
     cyclic_quiver,
     decompose_nilpotent,
-    is_cyclic_quiver,
     _composite_ranks,
     is_nilpotent,
     multiset_hom_dim,
     multiset_ranks,
     realize,
     reconstruct_from_socle_quotient,
+    require_cyclic,
     window_hom_dim,
 )
 
@@ -117,8 +117,9 @@ def test_cyclic_quiver_shape():
         ("a2", 2, 1),
         ("a3", 3, 2),
     ]
-    assert is_cyclic_quiver(q)
-    assert not is_cyclic_quiver(Quiver(2, (Arrow("x", 1, 2), Arrow("y", 1, 2))))
+    assert require_cyclic(q) == 3
+    with pytest.raises(NotCyclic):
+        require_cyclic(Quiver(2, (Arrow("x", 1, 2), Arrow("y", 1, 2))))
 
 
 # ---------------------------------------------------------------- nilpotency
