@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/shape errors and unreadable or unwritable
-files, 3 nilpotency violations, 4 order violations (not a degeneration),
-5 scope violations (codim > 2).
+Exit codes, read off the error class (errors.py): 0 success, 2 malformed
+or ill-fitting input, a size above its cap and unreadable or unwritable files
+(ParseError), 3 nilpotency violations, 4 order violations (not a
+degeneration), 5 scope violations (codim > 2).
 All outputs are byte-deterministic for identical inputs and flags.
 """
 
@@ -79,7 +80,7 @@ def _load_hom_pair(left: str, right: str):
     total-dimension cap does not bound the number of arrows."""
     v = formats.load_rep_or_windows(left)
     w = formats.load_rep_or_windows(right)
-    if v.quiver == w.quiver:  # otherwise hom_dim and ext1_dim raise QuiverMismatch
+    if v.quiver == w.quiver:  # otherwise hom_dim and ext1_dim raise ParseError
         arrows = v.quiver.arrows
         equations = sum(w.dims[a.target - 1] * v.dims[a.source - 1] for a in arrows)
         unknowns = sum(x * y for x, y in zip(v.dims, w.dims))

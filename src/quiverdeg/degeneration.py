@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, NotADegeneration, RankMismatch
+from .errors import NotADegeneration, ParseError
 from .windows import (
     Window,
     WindowMultiset,
@@ -54,7 +54,7 @@ class TestSet:
 def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
     """Hom dimensions from ms to every test window, in test-set order."""
     if ms.n != ts.n:
-        raise RankMismatch("multiset and test set have different ranks")
+        raise ParseError("multiset and test set have different ranks")
     return tuple(
         sum(window_hom_dim(entry, y) for entry in ms.windows) for y in ts.windows
     )
@@ -72,7 +72,7 @@ def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
     of arrow maps has rank in m at least its rank in nn.
     """
     if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
+        raise ParseError("multisets have different ranks")
     if m.dim_vector() != nn.dim_vector():
         return False
     total = m.total_dim()
@@ -117,9 +117,9 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     indices in non-decreasing order, and no class is a prefix of another."""
     d = tuple(int(x) for x in d)
     if len(d) != n:
-        raise LengthMismatch(f"dimension vector must have length {n}")
+        raise ParseError(f"dimension vector must have length {n}")
     if any(x < 0 for x in d):
-        raise ValueError("dimension vector entries must be nonnegative")
+        raise ParseError("dimension vector entries must be nonnegative")
     total = sum(d)
     if total == 0:
         return [WindowMultiset(n, ())]

@@ -1,9 +1,9 @@
-"""Error types raised by the library.
+"""Error types raised by the library, one class per CLI exit code.
 
 Each class carries the exit code the CLI ends with when a command raises it:
-parse/shape problems (2), nilpotency violations (3), order violations (4)
-and scope violations (5). An error whose exit_code is None signals a bug and
-ends in a traceback.
+malformed or ill-fitting input (2), nilpotency violations (3), order
+violations (4) and scope violations (5). An error whose exit_code is None
+signals a bug and ends in a traceback.
 """
 
 
@@ -14,31 +14,9 @@ class Error(Exception):
 
 
 class ParseError(Error):
-    """A file or JSON object does not match the expected schema."""
-
-    exit_code = 2
-
-
-class ShapeMismatch(Error):
-    """A matrix has the wrong shape for its arrow."""
-
-    exit_code = 2
-
-
-class QuiverMismatch(Error):
-    """Two representations do not live over the same quiver."""
-
-    exit_code = 2
-
-
-class LengthMismatch(Error):
-    """A dimension vector has the wrong number of components."""
-
-    exit_code = 2
-
-
-class NotCyclic(Error):
-    """The quiver is not a cyclic quiver in the canonical orientation."""
+    """The input is malformed or does not fit: a file or option that does not
+    match its schema, a shape, length, rank or residue that does not fit the
+    quiver or class it is used with, or a size above its cap."""
 
     exit_code = 2
 
@@ -47,28 +25,6 @@ class NotNilpotent(Error):
     """The representation is not nilpotent."""
 
     exit_code = 3
-
-
-class BadWindow(Error):
-    """Window endpoints are inconsistent (i > j)."""
-
-    exit_code = 2
-
-
-class RankMismatch(Error):
-    """Two cyclic-quiver objects have different ranks n."""
-
-    exit_code = 2
-
-
-class BadResidue(Error):
-    """A selected residue is not available in the socle."""
-
-    exit_code = 2
-
-
-class Inconsistent(Error):
-    """Internal structural assertion failed; signals a bug or corrupt input."""
 
 
 class NotADegeneration(Error):
@@ -83,7 +39,5 @@ class OutOfScope(Error):
     exit_code = 5
 
 
-class BadArity(Error):
-    """A model-variety point has the wrong number of coordinates."""
-
-    exit_code = 2
+class Inconsistent(Error):
+    """Internal structural assertion failed; signals a bug or corrupt input."""

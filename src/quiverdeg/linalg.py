@@ -14,7 +14,6 @@ from math import lcm
 from typing import Iterable
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def parse_rational(value) -> Fraction:
@@ -60,13 +59,6 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = ent
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        ent = [_ZERO] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = _ONE
-        return cls(n, n, ent)
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LengthMismatch, QuiverMismatch, ShapeMismatch
+from .errors import ParseError
 from .linalg import RatMatrix
 
 _ZERO = Fraction(0)
@@ -61,20 +61,20 @@ class Representation:
     ) -> None:
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.vertex_count:
-            raise ShapeMismatch(
+            raise ParseError(
                 f"expected {quiver.vertex_count} dimensions, got {len(dims)}"
             )
         if any(d < 0 for d in dims):
-            raise ShapeMismatch("dimensions must be nonnegative")
+            raise ParseError("dimensions must be nonnegative")
         mats = tuple(matrices)
         if len(mats) != len(quiver.arrows):
-            raise ShapeMismatch(
+            raise ParseError(
                 f"expected {len(quiver.arrows)} matrices, got {len(mats)}"
             )
         for a, m in zip(quiver.arrows, mats):
             want = (dims[a.target - 1], dims[a.source - 1])
             if (m.rows, m.cols) != want:
-                raise ShapeMismatch(
+                raise ParseError(
                     f"arrow {a.name!r} ({a.source}->{a.target}) needs a "
                     f"{want[0]}x{want[1]} matrix, got {m.rows}x{m.cols}"
                 )
@@ -103,7 +103,7 @@ class Representation:
 
 def _require_same_quiver(v: Representation, w: Representation) -> None:
     if v.quiver != w.quiver:
-        raise QuiverMismatch("representations live over different quivers")
+        raise ParseError("representations live over different quivers")
 
 
 def _hom_system(v: Representation, w: Representation) -> tuple[int, int, RatMatrix]:
@@ -160,7 +160,7 @@ def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     vectors, since the path algebra is hereditary.
     """
     if len(d) != quiver.vertex_count or len(e) != quiver.vertex_count:
-        raise LengthMismatch(
+        raise ParseError(
             f"dimension vectors must have length {quiver.vertex_count}"
         )
     value = sum(int(a) * int(b) for a, b in zip(d, e))

@@ -22,13 +22,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BadArity,
-    Inconsistent,
-    NotADegeneration,
-    OutOfScope,
-    RankMismatch,
-)
+from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from .degeneration import HasseDiagram, codim, codim2_pairs, hasse
 from .linalg import parse_rational
 from .windows import WindowMultiset, residue
@@ -122,7 +116,7 @@ def cancel_common(
     One merge over the two window tuples, which are both sorted.
     """
     if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
+        raise ParseError("multisets have different ranks")
     a, b = m.windows, nn.windows
     keep_a, keep_b = [], []
     x = y = 0
@@ -150,7 +144,7 @@ def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
     reduced pair plus the residues used, or None when u and w collide.
     """
     if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
+        raise ParseError("multisets have different ranks")
     counts = list(zip(m.socle().counts, nn.socle().counts))
     if any(a > b for a, b in counts):
         raise Inconsistent("socle of the degenerating class exceeds the other socle")
@@ -220,7 +214,7 @@ def classify(
     summands, relabel to the terminal pattern and read off A_r; with more
     than two summands the pair is reported Unresolved.
     """
-    current = codim(m, nn)  # raises RankMismatch or NotADegeneration
+    current = codim(m, nn)  # raises ParseError or NotADegeneration
     if current > 2:
         raise OutOfScope(f"codimension {current} exceeds 2")
     trace = ReductionTrace(m.n, m, nn, current)
@@ -352,19 +346,19 @@ def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:
     (x_0, ..., x_r) with x_i x_j = x_l x_m whenever i + j = l + m.
     """
     if r < 1:
-        raise BadArity("model variety index must be at least 1")
+        raise ParseError("model variety index must be at least 1")
     kind = kind.upper()
     coords = [
         x if isinstance(x, Fraction) else parse_rational(x) for x in point
     ]
     if kind == "A":
         if len(coords) != 3:
-            raise BadArity(f"A({r}) points have 3 coordinates, got {len(coords)}")
+            raise ParseError(f"A({r}) points have 3 coordinates, got {len(coords)}")
         x, y, z = coords
         return x**r == y * z
     if kind == "C":
         if len(coords) != r + 1:
-            raise BadArity(
+            raise ParseError(
                 f"C({r}) points have {r + 1} coordinates, got {len(coords)}"
             )
         for total in range(2 * r + 1):
@@ -375,4 +369,4 @@ def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:
             if any(p != products[0] for p in products):
                 return False
         return True
-    raise BadArity(f"unknown model variety kind {kind!r}")
+    raise ParseError(f"unknown model variety kind {kind!r}")

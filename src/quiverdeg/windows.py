@@ -23,14 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadResidue,
-    BadWindow,
-    Inconsistent,
-    NotCyclic,
-    NotNilpotent,
-    RankMismatch,
-)
+from .errors import Inconsistent, NotNilpotent, ParseError
 from .linalg import RatMatrix
 from .reps import Arrow, Quiver, Representation
 
@@ -59,9 +52,9 @@ class Window:
 
     def __init__(self, n: int, i: int, j: int) -> None:
         if n < 1:
-            raise BadWindow("cyclic rank must be at least 1")
+            raise ParseError("cyclic rank must be at least 1")
         if i > j:
-            raise BadWindow(f"window ({i},{j}) has i > j")
+            raise ParseError(f"window ({i},{j}) has i > j")
         shift = residue(i, n) - i
         self.n = n
         self.i = i + shift
@@ -100,9 +93,9 @@ class SimpleMultiset:
     def __init__(self, n: int, counts: Sequence[int]) -> None:
         counts = tuple(int(c) for c in counts)
         if len(counts) != n:
-            raise RankMismatch(f"expected {n} residue counts, got {len(counts)}")
+            raise ParseError(f"expected {n} residue counts, got {len(counts)}")
         if any(c < 0 for c in counts):
-            raise ValueError("multiplicities must be nonnegative")
+            raise ParseError("multiplicities must be nonnegative")
         self.n = n
         self.counts = counts
 
@@ -135,12 +128,12 @@ class WindowMultiset:
 
     def __init__(self, n: int, windows: Iterable = ()) -> None:
         if n < 1:
-            raise BadWindow("cyclic rank must be at least 1")
+            raise ParseError("cyclic rank must be at least 1")
         items: list[Window] = []
         for w in windows:
             if isinstance(w, Window):
                 if w.n != n:
-                    raise RankMismatch(f"window of rank {w.n} in a rank-{n} multiset")
+                    raise ParseError(f"window of rank {w.n} in a rank-{n} multiset")
                 items.append(w)
             else:
                 i, j = w
@@ -180,7 +173,7 @@ class WindowMultiset:
         sel = set(selected_residues)
         present = {w.i for w in self.windows}
         if not sel <= present:
-            raise BadResidue(f"residues {sorted(sel - present)} not present in socle")
+            raise ParseError(f"residues {sorted(sel - present)} not present in socle")
         out = []
         for w in self.windows:
             if w.i in sel:
@@ -211,7 +204,7 @@ class WindowMultiset:
 def cyclic_quiver(n: int) -> Quiver:
     """The rank-n cyclic quiver: arrow a<v> from vertex v to v-1 (1 wraps to n)."""
     if n < 1:
-        raise ValueError("cyclic rank must be at least 1")
+        raise ParseError("cyclic rank must be at least 1")
     arrows = tuple(
         Arrow(f"a{v}", v, residue(v - 1, n)) for v in range(1, n + 1)
     )
@@ -219,7 +212,7 @@ def cyclic_quiver(n: int) -> Quiver:
 
 
 def require_cyclic(q: Quiver) -> int:
-    """Rank of the cyclic quiver, or NotCyclic."""
+    """Rank of the cyclic quiver, or ParseError when q is not one."""
     n = q.vertex_count
     # Sorted sources equal to 1..n already mean n arrows.
     sources = sorted(a.source for a in q.arrows)
@@ -228,7 +221,7 @@ def require_cyclic(q: Quiver) -> int:
         or sources != list(range(1, n + 1))
         or any(a.target != residue(a.source - 1, n) for a in q.arrows)
     ):
-        raise NotCyclic(
+        raise ParseError(
             "expected the cyclic quiver with one arrow from each vertex v to v-1"
         )
     return n
@@ -274,10 +267,11 @@ def _composite_ranks(rep: Representation, steps: int) -> list[list[int]]:
     out = {a.source: m for a, m in zip(rep.quiver.arrows, rep.matrices)}
     ranks = []
     for v in range(1, n + 1):
-        current = RatMatrix.identity(rep.dims[v - 1])
+        current = None
         row = [rep.dims[v - 1]]
         while row[-1] and len(row) <= steps:
-            current = out[residue(v - len(row) + 1, n)] @ current
+            step = out[residue(v - len(row) + 1, n)]
+            current = step if current is None else step @ current
             row.append(current.rank())
         ranks.append(row + [0] * (steps + 1 - len(row)))
     return ranks
@@ -357,7 +351,7 @@ def window_hom_dim(a: Window, b: Window) -> int:
     window by a multiple of n. For n = 1 it reduces to min(length a, length b).
     """
     if a.n != b.n:
-        raise RankMismatch(f"windows of different ranks {a.n} and {b.n}")
+        raise ParseError(f"windows of different ranks {a.n} and {b.n}")
     hi = min(b.j, b.i + (a.j - a.i))
     return _count_congruent(b.i, hi, a.j % a.n, a.n)
 
@@ -365,7 +359,7 @@ def window_hom_dim(a: Window, b: Window) -> int:
 def multiset_hom_dim(x: WindowMultiset, y: WindowMultiset) -> int:
     """Hom dimension between two classes; biadditive over entries."""
     if x.n != y.n:
-        raise RankMismatch("multisets have different ranks")
+        raise ParseError("multisets have different ranks")
     return sum(window_hom_dim(a, b) for a in x.windows for b in y.windows)
 
 
@@ -379,7 +373,7 @@ def reconstruct_from_socle_quotient(
     mean no such class exists.
     """
     if u.n != t.n:
-        raise RankMismatch("socle and quotient have different ranks")
+        raise ParseError("socle and quotient have different ranks")
     n = u.n
     entries: list[Window] = []
     used = [0] * n

@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Nothing in quiverdeg's commands or classifier reaches these, so they live
-with the tests: constructors for zero and row-given matrices and zero
-representations, a second elimination (reduced row echelon form) to check
+with the tests: constructors for zero, identity and row-given matrices and
+zero representations, a second elimination (reduced row echelon form) to check
 `RatMatrix.rank` and `decompose_nilpotent` by, the direct sum and duality
 constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from quiverdeg.degeneration import _below_masks, _rank_key, enumerate_nilpotent
-from quiverdeg.errors import BadResidue, Inconsistent, RankMismatch
+from quiverdeg.errors import Inconsistent, ParseError
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
 from quiverdeg.windows import (
@@ -35,6 +35,13 @@ _ONE = Fraction(1)
 
 def zero_matrix(rows: int, cols: int) -> RatMatrix:
     return RatMatrix(rows, cols, (_ZERO,) * (rows * cols))
+
+
+def identity_matrix(n: int) -> RatMatrix:
+    ent = [_ZERO] * (n * n)
+    for i in range(n):
+        ent[i * n + i] = _ONE
+    return RatMatrix(n, n, ent)
 
 
 def matrix_from_rows(data: Sequence[Sequence]) -> RatMatrix:
@@ -158,7 +165,7 @@ def quotient_to_radical(ms: WindowMultiset, selected_residues) -> WindowMultiset
     sel = set(selected_residues)
     present = {residue(w.j, ms.n) for w in ms.windows}
     if not sel <= present:
-        raise BadResidue(f"residues {sorted(sel - present)} not present in top")
+        raise ParseError(f"residues {sorted(sel - present)} not present in top")
     out = []
     for w in ms.windows:
         if residue(w.j, ms.n) in sel:
@@ -172,7 +179,7 @@ def quotient_to_radical(ms: WindowMultiset, selected_residues) -> WindowMultiset
 def top_reduce(m: WindowMultiset, nn: WindowMultiset):
     """top_reduce read directly off the tops, without passing to the dual."""
     if m.n != nn.n:
-        raise RankMismatch("multisets have different ranks")
+        raise ParseError("multisets have different ranks")
     counts = list(zip(multiset_top(m).counts, multiset_top(nn).counts))
     if any(a > b for a, b in counts):
         raise Inconsistent("top of the degenerating class exceeds the other top")

@@ -197,14 +197,6 @@ def test_classify_not_a_degeneration_exits_4(runner, tmp_path):
 # The CLI exit code of each error class; None ends in a traceback.
 EXIT_CODES = {
     "ParseError": 2,
-    "ShapeMismatch": 2,
-    "QuiverMismatch": 2,
-    "LengthMismatch": 2,
-    "BadWindow": 2,
-    "RankMismatch": 2,
-    "BadResidue": 2,
-    "BadArity": 2,
-    "NotCyclic": 2,
     "NotNilpotent": 3,
     "NotADegeneration": 4,
     "OutOfScope": 5,

@@ -23,7 +23,7 @@ from quiverdeg.degeneration import (
     to_dot,
     to_json_obj,
 )
-from quiverdeg.errors import NotADegeneration, RankMismatch
+from quiverdeg.errors import NotADegeneration, ParseError
 from quiverdeg.singularity import _compositions, _dim_vectors, annotate
 from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
 
@@ -78,7 +78,7 @@ def test_profile_loop_length_two():
 
 
 def test_profile_rank_mismatch():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(ParseError, match="multiset and test set have different ranks"):
         hom_profile(WindowMultiset(2), ProbeSet.up_to(3, 2))
 
 
@@ -130,7 +130,7 @@ def test_degenerates_needs_same_dim_vector():
 
 
 def test_degenerates_rank_mismatch():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(ParseError, match="multisets have different ranks"):
         degenerates(WindowMultiset(1), WindowMultiset(2))
 
 
@@ -175,6 +175,11 @@ def test_enumerate_two_vertex_unit_vector():
 
 def test_enumerate_zero_vector():
     assert enumerate_nilpotent(2, (0, 0)) == [WindowMultiset(2)]
+
+
+def test_enumerate_negative_entry_rejected():
+    with pytest.raises(ParseError, match="dimension vector entries must be nonnegative"):
+        enumerate_nilpotent(2, (1, -1))
 
 
 def test_enumerate_dim_vectors_match(rng):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from quiverdeg.linalg import RatMatrix, format_rational, parse_rational
 
-from oracles import kernel_basis, matrix_from_rows, transpose, zero_matrix
+from oracles import (
+    identity_matrix,
+    kernel_basis,
+    matrix_from_rows,
+    transpose,
+    zero_matrix,
+)
 
 
 def test_parse_rational_forms():
@@ -29,7 +35,7 @@ def test_format_rational_round_trip():
 
 
 def test_rank_identity():
-    assert RatMatrix.identity(3).rank() == 3
+    assert identity_matrix(3).rank() == 3
 
 
 def test_rank_zero_matrix():
@@ -54,7 +60,7 @@ def test_rank_rational_entries():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.identity(2)) == []
+    assert kernel_basis(identity_matrix(2)) == []
 
 
 def test_kernel_zero_matrix():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quiverdeg.degeneration import codim, degenerates, enumerate_nilpotent, hasse
-from quiverdeg.errors import BadArity, Inconsistent, NotADegeneration, OutOfScope
+from quiverdeg.errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from quiverdeg.formats import canonical_dumps
 from quiverdeg.singularity import (
     SingularityType,
@@ -348,13 +348,13 @@ def test_model_membership_examples():
 
 
 def test_model_membership_arity_checks():
-    with pytest.raises(BadArity):
+    with pytest.raises(ParseError, match=r"A\(2\) points have 3 coordinates, got 2"):
         model_variety_membership("A", 2, (1, 1))
-    with pytest.raises(BadArity):
+    with pytest.raises(ParseError, match=r"C\(3\) points have 4 coordinates, got 3"):
         model_variety_membership("C", 3, (1, 1, 1))
-    with pytest.raises(BadArity):
+    with pytest.raises(ParseError, match="unknown model variety kind 'B'"):
         model_variety_membership("B", 2, (1, 1, 1))
-    with pytest.raises(BadArity):
+    with pytest.raises(ParseError, match="model variety index must be at least 1"):
         model_variety_membership("A", 0, (1, 1, 1))
 
 

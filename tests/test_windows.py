@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverdeg.errors import (
-    BadResidue,
-    BadWindow,
-    Inconsistent,
-    NotCyclic,
-    NotNilpotent,
-    RankMismatch,
-)
+from quiverdeg.errors import Inconsistent, NotNilpotent, ParseError
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Quiver, Arrow, Representation, hom_dim
 from quiverdeg.singularity import _compositions
@@ -35,6 +28,7 @@ from quiverdeg.windows import (
 
 from conftest import random_multiset
 from oracles import (
+    identity_matrix,
     matrix_from_rows,
     multiset_dual,
     multiset_top,
@@ -65,9 +59,9 @@ def test_canonicalize_shifts():
 
 
 def test_bad_window_rejected():
-    with pytest.raises(BadWindow):
+    with pytest.raises(ParseError, match=r"window \(3,1\) has i > j"):
         Window(2, 3, 1)
-    with pytest.raises(BadWindow):
+    with pytest.raises(ParseError, match="cyclic rank must be at least 1"):
         Window(0, 1, 1)
 
 
@@ -84,7 +78,7 @@ def test_dim_vector_of_multisets():
 
 
 def test_rank_mismatch_in_multiset():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(ParseError, match="window of rank 3 in a rank-2 multiset"):
         WindowMultiset(2, [Window(3, 1, 2)])
 
 
@@ -118,8 +112,13 @@ def test_cyclic_quiver_shape():
         ("a3", 3, 2),
     ]
     assert require_cyclic(q) == 3
-    with pytest.raises(NotCyclic):
+    with pytest.raises(ParseError, match="expected the cyclic quiver"):
         require_cyclic(Quiver(2, (Arrow("x", 1, 2), Arrow("y", 1, 2))))
+
+
+def test_cyclic_quiver_rank_zero_rejected():
+    with pytest.raises(ParseError, match="cyclic rank must be at least 1"):
+        cyclic_quiver(0)
 
 
 # ---------------------------------------------------------------- nilpotency
@@ -144,7 +143,7 @@ def test_zero_rep_is_nilpotent():
 
 def test_non_cyclic_quiver_rejected():
     kron = Quiver(2, (Arrow("x", 1, 2), Arrow("y", 1, 2)))
-    with pytest.raises(NotCyclic):
+    with pytest.raises(ParseError, match="expected the cyclic quiver"):
         is_nilpotent(zero_rep(kron, (1, 1)))
 
 
@@ -196,7 +195,7 @@ def _naive_composites(rep, steps):
     out = {a.source: m for a, m in zip(rep.quiver.arrows, rep.matrices)}
     composites = []
     for v in range(1, n + 1):
-        chain = [RatMatrix.identity(rep.dims[v - 1])]
+        chain = [identity_matrix(rep.dims[v - 1])]
         for t in range(1, steps + 1):
             chain.append(out[(v - t) % n + 1] @ chain[-1])
         composites.append(chain)
@@ -297,7 +296,7 @@ def test_window_hom_dim_examples():
 
 
 def test_window_hom_dim_rank_mismatch():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(ParseError, match="windows of different ranks 1 and 2"):
         window_hom_dim(Window(1, 1, 1), Window(2, 1, 1))
 
 
@@ -349,6 +348,11 @@ def test_semisimple_socle_equals_top():
     assert ms.socle() == multiset_top(ms) == SimpleMultiset(3, (1, 2, 0))
 
 
+def test_simple_multiset_negative_count_rejected():
+    with pytest.raises(ParseError, match="multiplicities must be nonnegative"):
+        SimpleMultiset(2, (1, -1))
+
+
 def test_empty_multiset_socle():
     ms = WindowMultiset(2)
     assert sum(ms.socle().counts) == 0
@@ -364,7 +368,7 @@ def test_quotient_by_socle_examples():
     ) == WindowMultiset(2, [(2, 2), (2, 3)])
     ms = WindowMultiset(2, [(1, 2)])
     assert ms.quotient_by_socle(set()) == ms
-    with pytest.raises(BadResidue):
+    with pytest.raises(ParseError, match=r"residues \[2\] not present in socle"):
         ms.quotient_by_socle({2})
 
 
