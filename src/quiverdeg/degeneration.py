@@ -60,23 +60,26 @@ def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
     )
 
 
-def _rank_key(ms: WindowMultiset, total: int) -> list[int]:
-    """Negated composite ranks: the order is componentwise <= on these keys."""
-    return [-r for row in multiset_ranks(ms, total) for r in row]
+def _packed_ranks(ms: WindowMultiset, total: int) -> int:
+    """multiset_ranks(ms, total) row by row as one integer, one byte per rank."""
+    ranks = bytes(r for row in multiset_ranks(ms, total) for r in row)
+    return int.from_bytes(ranks, "little")
 
 
 def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
     """True iff m degenerates to nn: same dimension vector, dominating ranks.
 
     The rank order (Kempken 1982; see the module docstring): every composite
-    of arrow maps has rank in m at least its rank in nn.
+    of arrow maps has rank in m at least its rank in nn. Column t = 0 of a
+    rank table is the dimension vector.
     """
     if m.n != nn.n:
         raise ParseError("multisets have different ranks")
-    if m.dim_vector() != nn.dim_vector():
-        return False
     total = m.total_dim()
-    return all(a <= b for a, b in zip(_rank_key(m, total), _rank_key(nn, total)))
+    upper, lower = multiset_ranks(m, total), multiset_ranks(nn, total)
+    if any(a[0] != b[0] for a, b in zip(upper, lower)):
+        return False
+    return all(x >= y for a, b in zip(upper, lower) for x, y in zip(a, b))
 
 
 def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
@@ -86,55 +89,96 @@ def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
     return multiset_hom_dim(nn, nn) - multiset_hom_dim(m, m)
 
 
-def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> None:
-    """Append every multiset of candidates[idx:] filling remaining to results.
+def _moves(needs, skip, guards, state, moves) -> bool:
+    """Fill moves[state] for state = (c, remaining); True iff it is nonempty.
 
-    Each call adds one more window, the next candidate from idx on that fits.
-    Candidates come in (i, j) order, so a window that does not fit has no
-    longer window with the same start that fits: the loop jumps to skip[c],
-    the first candidate with the next start, instead of recursing into them.
-    A module-level function rather than a closure: a recursive closure refers
+    moves[(c, remaining)] lists the steps (c2, rest) with c2 >= c, candidate
+    c2 fitting in remaining and rest = remaining - needs[c2], that lead to a
+    full class: rest is zero or has moves of its own. The completions of a
+    state depend only on the state, so each state is explored once however
+    many prefixes reach it. Candidates come in (i, j) order, so a window that
+    does not fit has no longer window with the same start that fits: the
+    loop jumps to skip[c2], the first candidate with the next start.
+
+    Vectors are packed as in enumerate_nilpotent: a difference has a negative
+    entry iff it lost a guard bit, and it is zero iff it equals guards.
+    """
+    steps = moves.get(state)
+    if steps is None:
+        c, remaining = state
+        steps = []
+        while c < len(needs):
+            rest = remaining - needs[c]
+            if rest & guards != guards:
+                c = skip[c]
+                continue
+            if rest == guards or _moves(needs, skip, guards, (c, rest), moves):
+                steps.append((c, rest))
+            c += 1
+        moves[state] = steps
+    return bool(steps)
+
+
+def _walk(n, candidates, guards, moves, state, chosen, results) -> None:
+    """Append every class that completes chosen from state to results, in order.
+
+    Module-level functions rather than closures: a recursive closure refers
     to itself and keeps its whole frame alive until a cyclic collection.
     """
-    if not any(remaining):
-        results.append(WindowMultiset(n, list(chosen)))
-        return
-    c = idx
-    while c < len(candidates):
-        rest = tuple(rem - need for rem, need in zip(remaining, dim_vectors[c]))
-        if min(rest) < 0:
-            c = skip[c]
-            continue
+    for c, rest in moves[state]:
         chosen.append(candidates[c])
-        _fill(n, candidates, dim_vectors, skip, c, rest, chosen, results)
+        if rest == guards:
+            results.append(WindowMultiset(n, chosen))
+        else:
+            _walk(n, candidates, guards, moves, (c, rest), chosen, results)
         chosen.pop()
-        c += 1
+
+
+def _candidates(n: int, d: tuple[int, ...]) -> list[Window]:
+    """Every window of rank n whose dimension vector fits in d, in (i, j) order."""
+    candidates = []
+    for i in range(1, n + 1):
+        for length in range(1, sum(d) + 1):
+            w = Window(n, i, i + length - 1)
+            if all(a <= b for a, b in zip(w.dim_vector(), d)):
+                candidates.append(w)
+    return candidates
+
+
+def _pack(vector, bits: int) -> int:
+    """vector as one integer, entry v shifted left by bits * v."""
+    return sum(x << bits * v for v, x in enumerate(vector))
 
 
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     """All window multisets with dimension vector d, in lexicographic order of
-    their (i, j) lists: candidates come in (i, j) order, _fill picks their
-    indices in non-decreasing order, and no class is a prefix of another."""
+    their (i, j) lists: candidates come in (i, j) order, each class takes
+    their indices in non-decreasing order, and no class is a prefix of another.
+
+    The move table of _moves is built first and then walked; it has no dead
+    ends, so every step of the walk leads to a class.
+    """
     d = tuple(int(x) for x in d)
     if len(d) != n:
         raise ParseError(f"dimension vector must have length {n}")
     if any(x < 0 for x in d):
         raise ParseError("dimension vector entries must be nonnegative")
-    total = sum(d)
-    if total == 0:
+    if not any(d):
         return [WindowMultiset(n, ())]
-    candidates = []
-    for i in range(1, n + 1):
-        for length in range(1, total + 1):
-            w = Window(n, i, i + length - 1)
-            if all(a <= b for a, b in zip(w.dim_vector(), d)):
-                candidates.append(w)
-    dim_vectors = [w.dim_vector() for w in candidates]
+    candidates = _candidates(n, d)
+    # Each vector is one integer with a field of `bits` bits per vertex, the
+    # top bit of each field a guard that the remaining vector keeps set:
+    # subtracting a window's vector borrows a guard iff an entry goes below 0.
+    bits = max(d).bit_length() + 1
+    guards = _pack([1 << (bits - 1)] * n, bits)
+    needs = [_pack(w.dim_vector(), bits) for w in candidates]
     starts = [w.i for w in candidates]
     skip = [bisect_right(starts, i) for i in starts]
-
+    start = (0, guards + _pack(d, bits))
+    moves: dict = {}
+    _moves(needs, skip, guards, start, moves)
     results: list[WindowMultiset] = []
-    _fill(n, candidates, dim_vectors, skip, 0, d, [], results)
+    _walk(n, candidates, guards, moves, start, [], results)
     return results
 
 
@@ -163,6 +207,8 @@ def _below_masks(profiles) -> list[int]:
     """
     masks = [(1 << len(profiles)) - 1] * len(profiles)
     for column in zip(*profiles):
+        if column.count(column[0]) == len(column):
+            continue
         exact: dict[int, int] = {}
         for b, v in enumerate(column):
             exact[v] = exact.get(v, 0) | (1 << b)
@@ -200,14 +246,33 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     unlabelled; singularity.annotate adds the labels. The covers are the
     transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
     Comput. 1, 1972), peeled by _covers off masks over the classes sorted
-    by self-Hom dimension, which grows strictly along a degeneration.
+    by self-Hom dimension, which grows strictly along a degeneration. Each
+    rank of a class is packed in a byte, so the total is at most 255.
     """
     d = tuple(int(x) for x in d)
-    nodes = enumerate_nilpotent(n, d)
-    self_hom = [multiset_hom_dim(node, node) for node in nodes]
-    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([_rank_key(nodes[e], total) for e in order])
+    if total > 255:
+        raise ParseError(f"total dimension {total} exceeds 255, the most a byte holds")
+    nodes = enumerate_nilpotent(n, d)
+    # Hom is biadditive over direct sums and each composite's rank adds over
+    # summands, so a class's self-Hom and rank key are sums of per-window
+    # table entries, built once over the windows that fit in d.
+    windows = _candidates(n, d)
+    index = {(w.i, w.j): k for k, w in enumerate(windows)}
+    hom = [[window_hom_dim(a, b) for b in windows] for a in windows]
+    ranks = [_packed_ranks(WindowMultiset(n, [w]), total) for w in windows]
+    # Byte c of a key is 255 minus the class's rank at composite c: no rank
+    # exceeds total, so the packed sums carry into no other byte.
+    width = n * (total + 1)
+    ceiling = (1 << 8 * width) - 1
+    self_hom, keys = [], []
+    for node in nodes:
+        ids = [index[w.i, w.j] for w in node.windows]
+        self_hom.append(sum(sum(map(hom[a].__getitem__, ids)) for a in ids))
+        key = ceiling - sum(map(ranks.__getitem__, ids))
+        keys.append(key.to_bytes(width, "little"))
+    order = sorted(range(len(nodes)), key=self_hom.__getitem__)
+    below = _below_masks([keys[e] for e in order])
     pairs = sorted((order[g], order[h]) for g, h in _covers(below))
     edges = tuple(HasseEdge(a, b, self_hom[b] - self_hom[a]) for a, b in pairs)
     return HasseDiagram(n, d, tuple(nodes), edges)

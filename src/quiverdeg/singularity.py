@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
-from .degeneration import HasseDiagram, codim, codim2_pairs, hasse
+from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs, hasse
 from .linalg import parse_rational
 from .windows import WindowMultiset, residue
 
@@ -330,12 +330,13 @@ def annotate(diagram: HasseDiagram) -> HasseDiagram:
     memo: dict = {}
     edges = []
     for e in diagram.edges:
+        label = e.label
         if e.codim == 1:
-            e = replace(e, label="Reg")
+            label = "Reg"
         elif e.codim == 2:
             upper, lower = diagram.nodes[e.upper], diagram.nodes[e.lower]
-            e = replace(e, label=str(_memo_verdict(memo, upper, lower)))
-        edges.append(e)
+            label = str(_memo_verdict(memo, upper, lower))
+        edges.append(HasseEdge(e.upper, e.lower, e.codim, label))
     return replace(diagram, edges=tuple(edges))
 
 

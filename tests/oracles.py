@@ -8,7 +8,9 @@ constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
 (the socle move on the dual) by, and the degeneration order as bitsets over
 a graded numbering with the codimension-2 pairs searched off it, to check
-`degeneration.codim2_pairs` (read off the Hasse covers) by.
+`degeneration.codim2_pairs` (read off the Hasse covers) by. The plain
+depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
+move table), and the negated rank lists check `hasse`'s packed rank keys.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from quiverdeg.degeneration import _below_masks, _rank_key, enumerate_nilpotent
+from quiverdeg.degeneration import _below_masks, enumerate_nilpotent
 from quiverdeg.errors import Inconsistent, ParseError
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
@@ -26,6 +28,7 @@ from quiverdeg.windows import (
     Window,
     WindowMultiset,
     multiset_hom_dim,
+    multiset_ranks,
     residue,
 )
 
@@ -189,6 +192,53 @@ def top_reduce(m: WindowMultiset, nn: WindowMultiset):
     return quotient_to_radical(m, residues), quotient_to_radical(nn, residues), residues
 
 
+def rank_key(ms: WindowMultiset, total: int) -> list[int]:
+    """Negated composite ranks: the order is componentwise <= on these keys."""
+    return [-r for row in multiset_ranks(ms, total) for r in row]
+
+
+def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> None:
+    """Append every multiset of candidates[idx:] filling remaining to results.
+
+    Each call adds one more window, the next candidate from idx on that fits.
+    A window that does not fit has no longer window with the same start that
+    fits, so the loop jumps to skip[c], the first candidate with the next
+    start.
+    """
+    if not any(remaining):
+        results.append(WindowMultiset(n, list(chosen)))
+        return
+    c = idx
+    while c < len(candidates):
+        rest = tuple(rem - need for rem, need in zip(remaining, dim_vectors[c]))
+        if min(rest) < 0:
+            c = skip[c]
+            continue
+        chosen.append(candidates[c])
+        _fill(n, candidates, dim_vectors, skip, c, rest, chosen, results)
+        chosen.pop()
+        c += 1
+
+
+def enumerate_reference(n: int, d: Sequence[int]) -> list[WindowMultiset]:
+    """Every class with dimension vector d, by a depth-first search that
+    re-explores each state under every prefix that reaches it; lexicographic
+    order of the (i, j) lists, as enumerate_nilpotent promises."""
+    d = tuple(d)
+    candidates = []
+    for i in range(1, n + 1):
+        for length in range(1, sum(d) + 1):
+            w = Window(n, i, i + length - 1)
+            if all(a <= b for a, b in zip(w.dim_vector(), d)):
+                candidates.append(w)
+    dim_vectors = [w.dim_vector() for w in candidates]
+    starts = [w.i for w in candidates]
+    skip = [bisect_right(starts, i) for i in starts]
+    results: list[WindowMultiset] = []
+    _fill(n, candidates, dim_vectors, skip, 0, d, [], results)
+    return results
+
+
 def graded_masks(n: int, d: Sequence[int]):
     """The degeneration order on classes with dimension vector d, graded.
 
@@ -203,7 +253,7 @@ def graded_masks(n: int, d: Sequence[int]):
     self_hom = [multiset_hom_dim(node, node) for node in nodes]
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([_rank_key(nodes[e], total) for e in order])
+    below = _below_masks([rank_key(nodes[e], total) for e in order])
     return nodes, self_hom, order, below
 
 

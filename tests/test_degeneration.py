@@ -28,7 +28,7 @@ from quiverdeg.singularity import _compositions, _dim_vectors, annotate
 from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
 
 from conftest import random_multiset
-from oracles import codim2_pairs_from_masks, graded_masks
+from oracles import codim2_pairs_from_masks, enumerate_reference, graded_masks
 
 
 def partitions(total):
@@ -126,7 +126,21 @@ def test_degenerates_reflexive(rng):
 
 
 def test_degenerates_needs_same_dim_vector():
-    assert not degenerates(WindowMultiset(2, [(1, 1)]), WindowMultiset(2, [(2, 2)]))
+    pairs = [
+        # Equal totals: simples at two vertices, a long window against
+        # simples, and two windows of one length with different starts.
+        (WindowMultiset(2, [(1, 1)]), WindowMultiset(2, [(2, 2)])),
+        (WindowMultiset(3, [(1, 3)]), WindowMultiset(3, [(1, 1), (1, 1), (2, 2)])),
+        (WindowMultiset(3, [(1, 2)]), WindowMultiset(3, [(2, 3)])),
+        # Unequal totals, where the larger class's ranks dominate on every
+        # composite.
+        (WindowMultiset(2, [(1, 4)]), WindowMultiset(2, [(1, 2)])),
+        (WindowMultiset(1, [(1, 3)]), WindowMultiset(1)),
+    ]
+    for m, nn in pairs:
+        assert m.dim_vector() != nn.dim_vector()
+        assert not degenerates(m, nn), (m, nn)
+        assert not degenerates(nn, m), (nn, m)
 
 
 def test_degenerates_rank_mismatch():
@@ -180,6 +194,17 @@ def test_enumerate_zero_vector():
 def test_enumerate_negative_entry_rejected():
     with pytest.raises(ParseError, match="dimension vector entries must be nonnegative"):
         enumerate_nilpotent(2, (1, -1))
+
+
+def test_enumerate_nilpotent_equals_the_reference_search():
+    vectors = [
+        (n, d)
+        for n, max_total in ((1, 16), (2, 10), (3, 8), (4, 7))
+        for d in _dim_vectors(n, max_total)
+    ] + [(3, (5, 5, 5))]
+    assert len(vectors) == 575
+    for n, d in vectors:
+        assert enumerate_nilpotent(n, d) == enumerate_reference(n, d), (n, d)
 
 
 def test_enumerate_dim_vectors_match(rng):
@@ -379,21 +404,29 @@ def test_json_output_round_trips():
     assert len(obj["nodes"]) == 3
 
 
-# Small entries and short rows make ties and duplicate rows common.
-_profile_tables = st.integers(0, 4).flatmap(
-    lambda width: st.lists(
-        st.tuples(*[st.integers(0, 3)] * width), max_size=12
-    )
-)
+@st.composite
+def _profile_tables(draw):
+    """Small entries and short rows make ties and duplicate rows common. Up
+    to two columns are then made constant, as the dimension-vector and
+    all-zero columns of hasse's rank keys are, which _below_masks skips."""
+    width = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), max_size=12))
+    for value in draw(st.lists(st.integers(0, 3), max_size=2)):
+        at = draw(st.integers(0, width))
+        rows = [row[:at] + (value,) + row[at:] for row in rows]
+        width += 1
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(_profile_tables)
+@given(_profile_tables())
 @example([])
 @example([()])
 @example([(), (), ()])
 @example([(2, 1)])
 @example([(1, 2), (1, 2), (0, 3), (1, 3)])
+@example([(3, 1, 0), (3, 0, 0), (3, 2, 0)])
+@example([(1, 1), (1, 1)])
 def test_below_masks_match_componentwise_order(rows):
     expected = [
         sum(
@@ -456,6 +489,22 @@ def test_hasse_edges_are_the_naive_covers():
                 assert list(diagram.nodes) == nodes
                 got = [(e.upper, e.lower, e.codim) for e in diagram.edges]
                 assert got == covers, (n, dims)
+
+
+def test_hasse_codims_equal_codim():
+    # hasse sums each class's self-Hom off a window x window table; codim
+    # takes multiset_hom_dim of the two classes.
+    vectors = [(n, d) for n in (1, 2, 3) for d in _dim_vectors(n, 7)]
+    for n, d in vectors + [(3, (4, 4, 4))]:
+        diagram = hasse(n, d)
+        nodes = diagram.nodes
+        for e in diagram.edges:
+            assert e.codim == codim(nodes[e.upper], nodes[e.lower]), (n, d, e)
+
+
+def test_hasse_rejects_a_total_past_one_byte_per_rank():
+    with pytest.raises(ParseError, match="total dimension 256 exceeds 255"):
+        hasse(2, (128, 128))
 
 
 def test_codim2_pairs_equal_the_mask_search():
