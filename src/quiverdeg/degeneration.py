@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
 from .windows import (
@@ -135,13 +135,17 @@ def _walk(n, candidates, guards, moves, state, chosen, results) -> None:
 
 
 def _candidates(n: int, d: tuple[int, ...]) -> list[Window]:
-    """Every window of rank n whose dimension vector fits in d, in (i, j) order."""
+    """Every window of rank n whose dimension vector fits in d, in (i, j) order.
+
+    Dimension vectors grow with length: each start stops at the first misfit.
+    """
     candidates = []
     for i in range(1, n + 1):
         for length in range(1, sum(d) + 1):
             w = Window(n, i, i + length - 1)
-            if all(a <= b for a, b in zip(w.dim_vector(), d)):
-                candidates.append(w)
+            if any(a > b for a, b in zip(w.dim_vector(), d)):
+                break
+            candidates.append(w)
     return candidates
 
 
@@ -182,16 +186,14 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     return results
 
 
-@dataclass(frozen=True)
-class HasseEdge:
+class HasseEdge(NamedTuple):
     upper: int
     lower: int
     codim: int
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     n: int
     dim: tuple[int, ...]
     nodes: tuple[WindowMultiset, ...]
@@ -258,7 +260,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     # summands, so a class's self-Hom and rank key are sums of per-window
     # table entries, built once over the windows that fit in d.
     windows = _candidates(n, d)
-    index = {(w.i, w.j): k for k, w in enumerate(windows)}
+    index = {w: k for k, w in enumerate(windows)}
     hom = [[window_hom_dim(a, b) for b in windows] for a in windows]
     ranks = [_packed_ranks(WindowMultiset(n, [w]), total) for w in windows]
     # Byte c of a key is 255 minus the class's rank at composite c: no rank
@@ -267,7 +269,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     ceiling = (1 << 8 * width) - 1
     self_hom, keys = [], []
     for node in nodes:
-        ids = [index[w.i, w.j] for w in node.windows]
+        ids = [index[w] for w in node.windows]
         self_hom.append(sum(sum(map(hom[a].__getitem__, ids)) for a in ids))
         key = ceiling - sum(map(ranks.__getitem__, ids))
         keys.append(key.to_bytes(width, "little"))

@@ -18,7 +18,7 @@ recording further quotient steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -121,10 +121,9 @@ def cancel_common(
     keep_a, keep_b = [], []
     x = y = 0
     while x < len(a) and y < len(b):
-        ka, kb = (a[x].i, a[x].j), (b[y].i, b[y].j)
-        if ka == kb:
+        if a[x] == b[y]:
             x, y = x + 1, y + 1
-        elif ka < kb:
+        elif a[x] < b[y]:
             keep_a.append(a[x])
             x += 1
         else:
@@ -337,7 +336,7 @@ def annotate(diagram: HasseDiagram) -> HasseDiagram:
             upper, lower = diagram.nodes[e.upper], diagram.nodes[e.lower]
             label = str(_memo_verdict(memo, upper, lower))
         edges.append(HasseEdge(e.upper, e.lower, e.codim, label))
-    return replace(diagram, edges=tuple(edges))
+    return diagram._replace(edges=tuple(edges))
 
 
 def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:

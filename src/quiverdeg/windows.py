@@ -6,8 +6,9 @@ nilpotent representations are uniserial and labelled by integer intervals
 [i, j] ("windows"): basis vectors sit at the residues of i..j and the arrow
 maps shift each basis vector down by one, killing the bottom one. Shifting
 both endpoints by a multiple of n does not change the class, so windows
-are stored as their canonical representative with 1 <= i <= n, and equal
-classes are equal values.
+are stored as their canonical representative with 1 <= i <= n. Windows and
+their multisets are named tuples of canonical fields, so equal classes are
+equal values, with the tuple's hash and order.
 
 A finite multiset of windows is exactly an isomorphism class of nilpotent
 representations (Krull-Schmidt), which makes socle, top and quotient
@@ -21,6 +22,7 @@ and the radical are read off the dual.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotNilpotent, ParseError
@@ -40,25 +42,23 @@ def _count_congruent(lo: int, hi: int, rem: int, n: int) -> int:
     return (hi - rem) // n - (lo - 1 - rem) // n
 
 
-class Window:
+class Window(namedtuple("Window", "n i j")):
     """An interval [i, j] naming a uniserial nilpotent class of rank n.
 
     Both endpoints are shifted on construction by the multiple of n that
     gives the canonical representative, 1 <= i <= n, so two windows are equal
-    iff they name the same class.
+    iff they name the same class, and those of one rank sort in (i, j) order.
     """
 
-    __slots__ = ("n", "i", "j")
+    __slots__ = ()
 
-    def __init__(self, n: int, i: int, j: int) -> None:
+    def __new__(cls, n: int, i: int, j: int) -> "Window":
         if n < 1:
             raise ParseError("cyclic rank must be at least 1")
         if i > j:
             raise ParseError(f"window ({i},{j}) has i > j")
         shift = residue(i, n) - i
-        self.n = n
-        self.i = i + shift
-        self.j = j + shift
+        return tuple.__new__(cls, (n, i + shift, j + shift))
 
     @property
     def length(self) -> int:
@@ -70,34 +70,22 @@ class Window:
             for v in range(1, self.n + 1)
         )
 
-    def _key(self) -> tuple[int, int, int]:
-        return (self.n, self.i, self.j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Window):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"({self.i},{self.j})"
 
 
-class SimpleMultiset:
+class SimpleMultiset(namedtuple("SimpleMultiset", "n counts")):
     """Multiset of simple classes, stored as per-residue multiplicities."""
 
-    __slots__ = ("n", "counts")
+    __slots__ = ()
 
-    def __init__(self, n: int, counts: Sequence[int]) -> None:
+    def __new__(cls, n: int, counts: Sequence[int]) -> "SimpleMultiset":
         counts = tuple(int(c) for c in counts)
         if len(counts) != n:
             raise ParseError(f"expected {n} residue counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ParseError("multiplicities must be nonnegative")
-        self.n = n
-        self.counts = counts
+        return tuple.__new__(cls, (n, counts))
 
     def count(self, residue_index: int) -> int:
         return self.counts[residue_index - 1]
@@ -106,27 +94,16 @@ class SimpleMultiset:
     def residues(self) -> set[int]:
         return {r + 1 for r, c in enumerate(self.counts) if c}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimpleMultiset):
-            return NotImplemented
-        return self.n == other.n and self.counts == other.counts
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.counts))
-
-    def __repr__(self) -> str:
-        return f"SimpleMultiset(n={self.n}, counts={self.counts})"
-
-
-class WindowMultiset:
+class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
     """Multiset of windows: the isomorphism class of a nilpotent representation.
 
     Entries are kept sorted, so equal classes are equal values.
     """
 
-    __slots__ = ("n", "windows")
+    __slots__ = ()
 
-    def __init__(self, n: int, windows: Iterable = ()) -> None:
+    def __new__(cls, n: int, windows: Iterable = ()) -> "WindowMultiset":
         if n < 1:
             raise ParseError("cyclic rank must be at least 1")
         items: list[Window] = []
@@ -138,9 +115,9 @@ class WindowMultiset:
             else:
                 i, j = w
                 items.append(Window(n, int(i), int(j)))
-        items.sort(key=lambda w: (w.i, w.j))
-        self.n = n
-        self.windows = tuple(items)
+        # Every window has rank n, so tuple order is (i, j) order.
+        items.sort()
+        return tuple.__new__(cls, (n, tuple(items)))
 
     def is_empty(self) -> bool:
         return not self.windows
@@ -150,13 +127,6 @@ class WindowMultiset:
 
     def total_dim(self) -> int:
         return sum(w.length for w in self.windows)
-
-    def dim_vector(self) -> tuple[int, ...]:
-        counts = [0] * self.n
-        for w in self.windows:
-            for v, c in enumerate(w.dim_vector()):
-                counts[v] += c
-        return tuple(counts)
 
     def socle(self) -> SimpleMultiset:
         counts = [0] * self.n
@@ -187,14 +157,6 @@ class WindowMultiset:
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
         n = self.n
         return WindowMultiset(n, [Window(n, -w.j, -w.i) for w in self.windows])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WindowMultiset):
-            return NotImplemented
-        return self.n == other.n and self.windows == other.windows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.windows))
 
     def __repr__(self) -> str:
         inner = ",".join(repr(w) for w in self.windows)

@@ -2,7 +2,7 @@
 
 Nothing in quiverdeg's commands or classifier reaches these, so they live
 with the tests: constructors for zero, identity and row-given matrices and
-zero representations, a second elimination (reduced row echelon form) to check
+zero representations, the dimension vector of a class, a second elimination (reduced row echelon form) to check
 `RatMatrix.rank` and `decompose_nilpotent` by, the direct sum and duality
 constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
@@ -148,6 +148,15 @@ def dual(v: Representation) -> Representation:
     return Representation(
         opposite(v.quiver), v.dims, tuple(transpose(m) for m in v.matrices)
     )
+
+
+def multiset_dim_vector(ms: WindowMultiset) -> tuple[int, ...]:
+    """Dimension vector of a class: the sum of its windows' vectors."""
+    counts = [0] * ms.n
+    for w in ms.windows:
+        for v, c in enumerate(w.dim_vector()):
+            counts[v] += c
+    return tuple(counts)
 
 
 def multiset_dual(ms: WindowMultiset) -> WindowMultiset:

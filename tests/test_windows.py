@@ -30,6 +30,7 @@ from conftest import random_multiset
 from oracles import (
     identity_matrix,
     matrix_from_rows,
+    multiset_dim_vector,
     multiset_dual,
     multiset_top,
     quotient_to_radical,
@@ -69,12 +70,43 @@ def test_window_equality_mod_shift():
     assert Window(2, 3, 8) == Window(2, 1, 6)
     assert hash(Window(2, 3, 8)) == hash(Window(2, 1, 6))
     assert Window(2, 1, 6) != Window(2, 2, 7)
+    assert Window(3, 4, 6) == Window(3, 1, 3)
+    assert hash(Window(3, 4, 6)) == hash(Window(3, 1, 3))
+
+
+def test_window_is_immutable():
+    w = Window(2, 1, 3)
+    with pytest.raises(AttributeError):
+        w.i = 2
+    assert (w.i, w.j) == (1, 3)
+
+
+def test_window_order_is_ij_order():
+    from quiverdeg.degeneration import _candidates
+
+    seen = 0
+    for n in (1, 2, 3):
+        for dims in all_dim_vectors(n, 6):
+            candidates = _candidates(n, dims)
+            by_key = sorted(candidates, key=lambda w: (w.i, w.j))
+            assert sorted(reversed(candidates)) == by_key == candidates
+            seen += len(candidates)
+    assert seen == 511
+
+
+def test_simple_multiset_repr():
+    assert repr(SimpleMultiset(2, (1, 0))) == "SimpleMultiset(n=2, counts=(1, 0))"
+
+
+def test_three_element_pair_is_rejected():
+    with pytest.raises(ValueError):
+        WindowMultiset(2, [(1, 2, 3)])
 
 
 def test_dim_vector_of_multisets():
-    assert WindowMultiset(2, [(1, 4)]).dim_vector() == (2, 2)
-    assert WindowMultiset(2, [(1, 2), (2, 3)]).dim_vector() == (2, 2)
-    assert WindowMultiset(1, [(1, 5)]).dim_vector() == (5,)
+    assert multiset_dim_vector(WindowMultiset(2, [(1, 4)])) == (2, 2)
+    assert multiset_dim_vector(WindowMultiset(2, [(1, 2), (2, 3)])) == (2, 2)
+    assert multiset_dim_vector(WindowMultiset(1, [(1, 5)])) == (5,)
 
 
 def test_rank_mismatch_in_multiset():
