@@ -3,16 +3,16 @@
 Exit codes, read off the error class (errors.py): 0 success, 2 malformed
 or ill-fitting input, a size above its cap and unreadable or unwritable files
 (ParseError), 3 nilpotency violations, 4 order violations (not a
-degeneration), 5 scope violations (codim > 2).
-All outputs are byte-deterministic for identical inputs and flags.
+degeneration), 5 scope violations (codim > 2). A usage error (an unknown
+command or option, a missing argument) also exits 2, with argparse's usage
+message. All outputs are byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import sys
-
-import click
 
 from . import degeneration as dg
 from . import formats
@@ -22,28 +22,10 @@ from .singularity import annotate, classify, scan_rows
 from .windows import decompose_nilpotent, realize
 
 
-def _exits(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Error as exc:
-            # An error without an exit code is a bug and ends in a traceback.
-            if exc.exit_code is None:
-                raise
-            # Not click.echo(err=True), for the reason given in _write_output.
-            sys.stderr.write(f"error: {exc}\n")
-            sys.stderr.flush()
-            sys.exit(exc.exit_code)
-
-    return wrapper
-
-
 def _write_output(text: str, out: str | None = None) -> None:
-    # Not click.echo: click caches a wrapper per stdout object in a
-    # WeakKeyDictionary whose value is the stream itself for text streams, so
-    # every stdout it ever wrote to (StringIO under redirect_stdout or
-    # CliRunner) stays alive with all of its contents.
+    # Looked up on each call rather than bound once, so that a caller's
+    # contextlib.redirect_stdout is honoured, and nothing here keeps a
+    # reference to a stream after the call.
     if out is None:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -68,12 +50,6 @@ def _check_cap(field: str, value: int, cap: int) -> None:
         raise ParseError(f"{field} {value} exceeds the cap of {cap}")
 
 
-@click.group()
-def main():
-    """Exact invariants, degeneration order and singularity types for
-    nilpotent representations of cyclic quivers."""
-
-
 def _load_hom_pair(left: str, right: str):
     """Both files of hom or ext; a Hom system of more than MAX_TOTAL_DIM ** 4
     entries (equations x unknowns) exits 2 before it is built, because the
@@ -88,110 +64,61 @@ def _load_hom_pair(left: str, right: str):
     return v, w
 
 
-@main.command("hom")
-@click.argument("left")
-@click.argument("right")
-@_exits
-def cmd_hom(left, right):
+def cmd_hom(args):
     """Hom dimension between two representation (or windows) files."""
-    _write_output(f"{hom_dim(*_load_hom_pair(left, right))}\n")
+    _write_output(f"{hom_dim(*_load_hom_pair(args.left, args.right))}\n")
 
 
-@main.command("ext")
-@click.argument("left")
-@click.argument("right")
-@_exits
-def cmd_ext(left, right):
+def cmd_ext(args):
     """Ext^1 dimension between two representation (or windows) files."""
-    _write_output(f"{ext1_dim(*_load_hom_pair(left, right))}\n")
+    _write_output(f"{ext1_dim(*_load_hom_pair(args.left, args.right))}\n")
 
 
-@main.command("euler")
-@click.argument("quiver_file")
-@click.option("--d", "dvec", required=True, help="comma-separated dimension vector")
-@click.option("--e", "evec", required=True, help="comma-separated dimension vector")
-@_exits
-def cmd_euler(quiver_file, dvec, evec):
+def cmd_euler(args):
     """Euler form of two dimension vectors over the quiver in FILE."""
-    q = formats.load_quiver(quiver_file)
-    _write_output(f"{euler_form(q, _parse_dims(dvec), _parse_dims(evec))}\n")
+    q = formats.load_quiver(args.quiver_file)
+    _write_output(f"{euler_form(q, _parse_dims(args.dvec), _parse_dims(args.evec))}\n")
 
 
-@main.command("decompose")
-@click.argument("rep_file")
-@click.option("-o", "--output", default=None, help="write to file instead of stdout")
-@_exits
-def cmd_decompose(rep_file, output):
+def cmd_decompose(args):
     """Decompose a nilpotent cyclic-quiver representation into windows."""
-    ms = decompose_nilpotent(formats.load_rep(rep_file))
-    _write_output(formats.canonical_dumps(formats.windows_to_obj(ms)), output)
+    ms = decompose_nilpotent(formats.load_rep(args.rep_file))
+    _write_output(formats.canonical_dumps(formats.windows_to_obj(ms)), args.output)
 
 
-@main.command("realize")
-@click.argument("windows_file")
-@click.option("-o", "--output", default=None, help="write to file instead of stdout")
-@_exits
-def cmd_realize(windows_file, output):
+def cmd_realize(args):
     """Realize a windows file as a matrix representation."""
-    ms = formats.load_windows(windows_file)
-    rep = realize(ms)
-    _write_output(formats.canonical_dumps(formats.rep_to_obj(rep)), output)
+    rep = realize(formats.load_windows(args.windows_file))
+    _write_output(formats.canonical_dumps(formats.rep_to_obj(rep)), args.output)
 
 
-@main.command("degenerates")
-@click.argument("m_file")
-@click.argument("n_file")
-@_exits
-def cmd_degenerates(m_file, n_file):
+def cmd_degenerates(args):
     """Print true/false: does the first class degenerate to the second?"""
-    m = formats.load_windows(m_file)
-    nn = formats.load_windows(n_file)
+    m = formats.load_windows(args.m_file)
+    nn = formats.load_windows(args.n_file)
     _write_output(("true" if dg.degenerates(m, nn) else "false") + "\n")
 
 
-@main.command("codim")
-@click.argument("m_file")
-@click.argument("n_file")
-@_exits
-def cmd_codim(m_file, n_file):
+def cmd_codim(args):
     """Codimension of the degeneration from the first class to the second."""
-    m = formats.load_windows(m_file)
-    nn = formats.load_windows(n_file)
+    m = formats.load_windows(args.m_file)
+    nn = formats.load_windows(args.n_file)
     _write_output(f"{dg.codim(m, nn)}\n")
 
 
-@main.command("classify")
-@click.argument("m_file")
-@click.argument("n_file")
-@click.option("--trace", "trace_path", default=None, help="write the JSON trace here")
-@_exits
-def cmd_classify(m_file, n_file, trace_path):
+def cmd_classify(args):
     """Singularity type (Reg, A<r> or Unresolved) of a codim <= 2 degeneration."""
-    m = formats.load_windows(m_file)
-    nn = formats.load_windows(n_file)
+    m = formats.load_windows(args.m_file)
+    nn = formats.load_windows(args.n_file)
     result, trace = classify(m, nn)
-    if trace_path is not None:
-        _write_output(formats.canonical_dumps(trace.to_obj()), trace_path)
+    if args.trace_path is not None:
+        _write_output(formats.canonical_dumps(trace.to_obj()), args.trace_path)
     _write_output(f"{result}\n")
 
 
-@main.command("hasse")
-@click.option("--n", "rank", type=int, required=True, help="cyclic rank")
-@click.option("--dim", "dim_raw", required=True, help="comma-separated dimensions")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["dot", "json"]),
-    default="dot",
-    show_default=True,
-)
-@click.option("--annotate", "annotated", is_flag=True, help="label codim 1/2 edges")
-# Annotation is serial; --jobs 1 is still accepted for callers that pass it.
-@click.option("--jobs", hidden=True, expose_value=False, type=click.IntRange(1, 1))
-@click.option("-o", "--output", default=None, help="write to file instead of stdout")
-@_exits
-def cmd_hasse(rank, dim_raw, fmt, annotated, output):
+def cmd_hasse(args):
     """Hasse diagram of the degeneration order for one dimension vector."""
+    rank, dim_raw = args.rank, args.dim_raw
     dims = _parse_dims(dim_raw)
     if rank < 1:
         raise ParseError("--n must be at least 1")
@@ -202,19 +129,15 @@ def cmd_hasse(rank, dim_raw, fmt, annotated, output):
         )
     _check_cap("--dim total", sum(dims), formats.MAX_TOTAL_DIM)
     diagram = dg.hasse(rank, dims)
-    if annotated:
+    if args.annotated:
         diagram = annotate(diagram)
-    if fmt == "dot":
-        _write_output(dg.to_dot(diagram), output)
+    if args.fmt == "dot":
+        _write_output(dg.to_dot(diagram), args.output)
     else:
-        _write_output(formats.canonical_dumps(dg.to_json_obj(diagram)), output)
+        _write_output(formats.canonical_dumps(dg.to_json_obj(diagram)), args.output)
 
 
-@main.command("scan")
-@click.option("--max-n", type=int, default=3, show_default=True)
-@click.option("--max-dim", type=int, default=7, show_default=True)
-@_exits
-def cmd_scan(max_n, max_dim):
+def cmd_scan(args):
     """Classify every codim-2 degeneration at desk scale; print a summary table.
 
     For each rank n <= max-n and every dimension vector with total dimension
@@ -222,6 +145,7 @@ def cmd_scan(max_n, max_dim):
     codimension exactly 2 are classified. The verdict should always be Reg
     or A_r; any Unresolved pair is listed explicitly.
     """
+    max_n, max_dim = args.max_n, args.max_dim
     if max_n < 1 or max_dim < 1:
         raise ParseError("--max-n and --max-dim must be at least 1")
     _check_cap("--max-n", max_n, formats.MAX_RANK)
@@ -251,6 +175,88 @@ def cmd_scan(max_n, max_dim):
         lines.append("no unresolved pairs")
     lines.append("no C-type labels emitted")
     _write_output("\n".join(lines) + "\n")
+
+
+# Built once per process: building it takes about 1.5 ms, mostly argparse's
+# gettext lookups, against about 0.2 ms to parse one command line.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, each naming the function that runs it."""
+    parser = argparse.ArgumentParser(
+        prog="quiverdeg",
+        description="Exact invariants, degeneration order and singularity types "
+        "for nilpotent representations of cyclic quivers.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, run, *files, output=False):
+        # allow_abbrev=False on each subparser, so that --d never means --dim.
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(
+            name, help=doc.split("\n")[0], description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        for dest in files:
+            sub.add_argument(dest, metavar=dest.upper())
+        if output:
+            sub.add_argument("-o", "--output", help="write to file instead of stdout")
+        return sub
+
+    command("hom", cmd_hom, "left", "right")
+    command("ext", cmd_ext, "left", "right")
+    euler = command("euler", cmd_euler, "quiver_file")
+    for flag, dest in (("--d", "dvec"), ("--e", "evec")):
+        euler.add_argument(
+            flag, dest=dest, metavar="DIMS", required=True,
+            help="comma-separated dimension vector",
+        )
+    command("decompose", cmd_decompose, "rep_file", output=True)
+    command("realize", cmd_realize, "windows_file", output=True)
+    command("degenerates", cmd_degenerates, "m_file", "n_file")
+    command("codim", cmd_codim, "m_file", "n_file")
+    command("classify", cmd_classify, "m_file", "n_file").add_argument(
+        "--trace", dest="trace_path", help="write the JSON trace here"
+    )
+    hasse = command("hasse", cmd_hasse, output=True)
+    hasse.add_argument("--n", dest="rank", metavar="N", type=int, required=True,
+                       help="cyclic rank")
+    hasse.add_argument("--dim", dest="dim_raw", metavar="DIMS", required=True,
+                       help="comma-separated dimensions")
+    hasse.add_argument(
+        "--format", dest="fmt", choices=["dot", "json"], default="dot",
+        help="output format (default: %(default)s)",
+    )
+    hasse.add_argument(
+        "--annotate", dest="annotated", action="store_true", help="label codim 1/2 edges"
+    )
+    # Annotation is serial; --jobs 1 is still accepted for callers that pass it.
+    hasse.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
+    scan = command("scan", cmd_scan)
+    scan.add_argument("--max-n", type=int, default=3, help="largest rank (default: %(default)s)")
+    scan.add_argument(
+        "--max-dim", type=int, default=7, help="largest total dimension (default: %(default)s)"
+    )
+    return parser
+
+
+def main(args=None) -> None:
+    """Run one command; an error ends in one `error: ` line and its exit code."""
+    parsed = _parser().parse_args(args)
+    try:
+        parsed.run(parsed)
+    except Error as exc:
+        # An error without an exit code is a bug and ends in a traceback.
+        if exc.exit_code is None:
+            raise
+        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.flush()
+        sys.exit(exc.exit_code)
+
+
+# The benchmark harness calls main.main(args=..., prog_name=...,
+# standalone_mode=False), a click group's signature; only args is used.
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 
 if __name__ == "__main__":

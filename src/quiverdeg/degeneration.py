@@ -18,7 +18,6 @@ compare the rank order against.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
@@ -32,8 +31,7 @@ from .windows import (
 
 
 # Test oracle: the Hom order the rank order is checked against.
-@dataclass(frozen=True)
-class TestSet:
+class TestSet(NamedTuple):
     """All windows of rank n with lengths 1..max_length, as test objects."""
 
     n: int
@@ -218,7 +216,8 @@ def _below_masks(profiles) -> list[int]:
         for v in sorted(exact, reverse=True):
             acc |= exact[v]
             at_least[v] = acc
-        masks = [mask & at_least[v] for mask, v in zip(masks, column)]
+        for b, v in enumerate(column):
+            masks[b] &= at_least[v]
     return masks
 
 

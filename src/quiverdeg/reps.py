@@ -9,9 +9,9 @@ path algebras are hereditary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError
 from .linalg import RatMatrix
@@ -19,33 +19,31 @@ from .linalg import RatMatrix
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     """Finite directed multigraph; multi-arrows and loops are permitted."""
 
-    vertex_count: int
-    arrows: tuple[Arrow, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __new__(cls, vertex_count: int, arrows: Sequence[Arrow]) -> "Quiver":
+        if vertex_count < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "arrows", tuple(self.arrows))
+        arrows = tuple(arrows)
         seen = set()
-        for a in self.arrows:
-            if not (1 <= a.source <= self.vertex_count):
+        for a in arrows:
+            if not (1 <= a.source <= vertex_count):
                 raise ValueError(f"arrow {a.name!r} has source {a.source} out of range")
-            if not (1 <= a.target <= self.vertex_count):
+            if not (1 <= a.target <= vertex_count):
                 raise ValueError(f"arrow {a.name!r} has target {a.target} out of range")
             if a.name in seen:
                 raise ValueError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
+        return tuple.__new__(cls, (vertex_count, arrows))
 
 
 class Representation:

@@ -18,9 +18,8 @@ recording further quotient steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs, hasse
@@ -28,8 +27,7 @@ from .linalg import parse_rational
 from .windows import WindowMultiset, residue
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(NamedTuple):
     """Reg, A(r) or Unresolved: the only answers the classifier gives on
     nilpotent classes of a cyclic quiver."""
 
@@ -56,8 +54,7 @@ class SingularityType:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One classifier move together with the pair it produced and its codim."""
 
     kind: str  # "cancel" | "socle" | "top" | "relabel" | "terminal"
@@ -84,16 +81,15 @@ class ReductionStep:
         return obj
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Ordered record of the classifier's moves on one input pair."""
 
     n: int
     start_m: WindowMultiset
     start_n: WindowMultiset
     start_codim: int
-    steps: list[ReductionStep] = field(default_factory=list)
-    result: SingularityType | None = None
+    steps: tuple[ReductionStep, ...]
+    result: SingularityType
 
     def to_obj(self) -> dict:
         return {
@@ -103,7 +99,7 @@ class ReductionTrace:
                 "n": [[w.i, w.j] for w in self.start_n.windows],
             },
             "start_codim": self.start_codim,
-            "result": str(self.result) if self.result is not None else None,
+            "result": str(self.result),
             "steps": [s.to_obj() for s in self.steps],
         }
 
@@ -213,10 +209,10 @@ def classify(
     summands, relabel to the terminal pattern and read off A_r; with more
     than two summands the pair is reported Unresolved.
     """
-    current = codim(m, nn)  # raises ParseError or NotADegeneration
+    start = current = codim(m, nn)  # raises ParseError or NotADegeneration
     if current > 2:
         raise OutOfScope(f"codimension {current} exceeds 2")
-    trace = ReductionTrace(m.n, m, nn, current)
+    steps: list[ReductionStep] = []
     cm, cn = m, nn
     result: SingularityType
     while True:
@@ -224,7 +220,7 @@ def classify(
         if (rm, rn) != (cm, cn):
             cm, cn = rm, rn
             current = _checked_codim(cm, cn)
-            trace.steps.append(ReductionStep("cancel", cm, cn, current))
+            steps.append(ReductionStep("cancel", cm, cn, current))
         if cm.is_empty() or current <= 1:
             result = SingularityType.reg()
             break
@@ -234,25 +230,24 @@ def classify(
         if reduced is not None:
             cm, cn, residues = reduced
             current = _checked_codim(cm, cn)
-            trace.steps.append(
+            steps.append(
                 ReductionStep(kind, cm, cn, current, residues=residues)
             )
             continue
         if cn.summand_count() <= 2:
             a, b, c = _terminal_lengths(cm, cn)
             shift = -cm.windows[0].i
-            trace.steps.append(
+            steps.append(
                 ReductionStep("relabel", cm, cn, current, shift=shift)
             )
             result = SingularityType.a_type(max(b, c))
-            trace.steps.append(
+            steps.append(
                 ReductionStep("terminal", cm, cn, current, lengths=(a, b, c))
             )
             break
         result = SingularityType.unresolved()
         break
-    trace.result = result
-    return result, trace
+    return result, ReductionTrace(m.n, m, nn, start, tuple(steps), result)
 
 
 def _dim_vectors(n: int, max_total: int):

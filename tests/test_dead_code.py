@@ -1,7 +1,8 @@
 """Dead-code gate over src/quiverdeg, read with the stdlib ast module.
 
 `__init__.py` is only its docstring, and importing the package loads no
-submodule: the API is the submodules. Every name a module imports is used
+submodule: the API is the submodules. Importing the CLI newly loads none of
+click, dataclasses and inspect. Every name a module imports is used
 in that module, every module-level `_private` function or class is
 referenced somewhere in src/ outside its own definition, and every public
 module-level function and public method (classmethods and properties
@@ -9,6 +10,8 @@ included) is referenced in src/ outside its own body or by the acceptance
 suite. References are matched by name: a function by any read of its name,
 a method only by an attribute access `x.name`, and not by `self.name` inside
 a class with no method of that name (that reads the class's own field).
+No decorator exempts a definition: the CLI commands are reached by name
+from its parser.
 """
 
 import ast
@@ -23,9 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quiverdeg"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-# Decorators that mark a def as reached some other way: click runs commands
-# from the command line.
-EXEMPT_DECORATORS = {"command", "group"}
 
 
 def _reference_counts(node) -> Counter:
@@ -88,6 +88,26 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_slow_module():
+    # click took about 25 ms of the CLI's start-up, and dataclasses about
+    # 10 ms more, most of it in inspect (which loads ast, dis and tokenize).
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; before = set(sys.modules); import quiverdeg.cli; "
+            "print(sorted(set(sys.modules) - before))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+    )
+    new = ast.literal_eval(loaded.stdout)
+    assert "quiverdeg.cli" in new
+    assert {"click", "dataclasses", "inspect"}.isdisjoint(new), new
+
+
 def test_every_import_is_used():
     unused = []
     for name, tree in TREES.items():
@@ -136,15 +156,6 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def _exempt(node) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name in EXEMPT_DECORATORS:
-            return True
-    return False
-
-
 def unreached_public_definitions(trees, acceptance) -> list[str]:
     counts = (_reference_counts, _attribute_counts)
     in_src = {count: Counter() for count in counts}
@@ -155,7 +166,7 @@ def unreached_public_definitions(trees, acceptance) -> list[str]:
     unreached = []
     for name, tree in trees.items():
         for qualified, node in _public_definitions(tree):
-            if node.name.startswith("_") or _exempt(node):
+            if node.name.startswith("_"):
                 continue
             count = _attribute_counts if "." in qualified else _reference_counts
             outside = in_src[count][node.name] - count(node)[node.name]

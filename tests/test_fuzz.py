@@ -10,11 +10,10 @@ stand in for files that are not JSON at all.
 import json
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quiverdeg.cli import main
+from cli_runner import invoke
 
 JUNK = st.one_of(
     st.none(),
@@ -142,8 +141,8 @@ def _args(data, command, tmp):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_input_ends_in_a_documented_exit(command, data, tmp_path):
-    result = CliRunner().invoke(main, _args(data, command, tmp_path))
-    assert result.exit_code in (0, 2, 3, 4, 5), result.exc_info
+    result = invoke(_args(data, command, tmp_path))
+    assert result.exit_code in (0, 2, 3, 4, 5), repr(result.exception)
     assert "Traceback" not in result.output
     if result.exit_code:
         assert result.stderr.startswith("error: ")
