@@ -50,28 +50,16 @@ def _check_cap(field: str, value: int, cap: int) -> None:
         raise ParseError(f"{field} {value} exceeds the cap of {cap}")
 
 
-def _load_hom_pair(left: str, right: str):
-    """Both files of hom or ext; a Hom system of more than MAX_TOTAL_DIM ** 4
-    entries (equations x unknowns) exits 2 before it is built, because the
-    total-dimension cap does not bound the number of arrows."""
-    v = formats.load_rep_or_windows(left)
-    w = formats.load_rep_or_windows(right)
-    if v.quiver == w.quiver:  # otherwise hom_dim and ext1_dim raise ParseError
-        arrows = v.quiver.arrows
-        equations = sum(w.dims[a.target - 1] * v.dims[a.source - 1] for a in arrows)
-        unknowns = sum(x * y for x, y in zip(v.dims, w.dims))
-        _check_cap("Hom system entries", equations * unknowns, formats.MAX_TOTAL_DIM**4)
-    return v, w
-
-
 def cmd_hom(args):
     """Hom dimension between two representation (or windows) files."""
-    _write_output(f"{hom_dim(*_load_hom_pair(args.left, args.right))}\n")
+    v, w = map(formats.load_rep_or_windows, (args.left, args.right))
+    _write_output(f"{hom_dim(v, w)}\n")
 
 
 def cmd_ext(args):
     """Ext^1 dimension between two representation (or windows) files."""
-    _write_output(f"{ext1_dim(*_load_hom_pair(args.left, args.right))}\n")
+    v, w = map(formats.load_rep_or_windows, (args.left, args.right))
+    _write_output(f"{ext1_dim(v, w)}\n")
 
 
 def cmd_euler(args):

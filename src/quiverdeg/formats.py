@@ -20,8 +20,9 @@ Sizes are capped before anything is built from a file: windows.n at
 MAX_RANK, and the total dimension (every window's length, their sum, the sum
 of a representation's dims) at MAX_TOTAL_DIM. Dense matrices, composite
 ranks and Hom systems grow with these sizes, so an unchecked one-window file
-could exhaust memory; `hom` and `ext` also reject a Hom system of more than
-MAX_TOTAL_DIM ** 4 entries, since the number of arrows is not capped.
+could exhaust memory. The number of arrows is not capped, so `reps.hom_dim`
+and `reps.ext1_dim` reject a Hom system of more than reps.MAX_HOM_ENTRIES
+(MAX_TOTAL_DIM ** 4) entries themselves.
 """
 
 from __future__ import annotations

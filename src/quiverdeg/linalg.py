@@ -9,6 +9,7 @@ bit and intermediate values stay integral on integral input.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -40,15 +41,16 @@ def format_rational(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
-class RatMatrix:
+class RatMatrix(namedtuple("RatMatrix", "rows cols entries")):
     """A rows x cols matrix of rationals stored row-major.
 
     0 x m and m x 0 matrices are legal (and have rank 0).
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
+    def __new__(cls, rows: int, cols: int, entries: Iterable) -> "RatMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         ent = tuple(
@@ -56,9 +58,7 @@ class RatMatrix:
         )
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = ent
+        return tuple.__new__(cls, (rows, cols, ent))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -84,18 +84,6 @@ class RatMatrix:
                         if bv:
                             out[base + j] += av * bv
         return RatMatrix(n, m, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, {self.row_list()!r})"

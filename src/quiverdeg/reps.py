@@ -46,17 +46,15 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         return tuple.__new__(cls, (vertex_count, arrows))
 
 
-class Representation:
+class Representation(namedtuple("Representation", "quiver dims matrices")):
     """Per-vertex dimensions plus one rational matrix per arrow, in arrow order."""
 
-    __slots__ = ("quiver", "dims", "matrices")
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        dims: Sequence[int],
-        matrices: Sequence[RatMatrix],
-    ) -> None:
+    def __new__(
+        cls, quiver: Quiver, dims: Sequence[int], matrices: Sequence[RatMatrix]
+    ) -> "Representation":
         dims = tuple(int(d) for d in dims)
         if len(dims) != quiver.vertex_count:
             raise ParseError(
@@ -76,39 +74,38 @@ class Representation:
                     f"arrow {a.name!r} ({a.source}->{a.target}) needs a "
                     f"{want[0]}x{want[1]} matrix, got {m.rows}x{m.cols}"
                 )
-        self.quiver = quiver
-        self.dims = dims
-        self.matrices = mats
+        return tuple.__new__(cls, (quiver, dims, mats))
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return (
-            self.quiver == other.quiver
-            and self.dims == other.dims
-            and self.matrices == other.matrices
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.quiver, self.dims, self.matrices))
 
     def __repr__(self) -> str:
         return f"Representation(dims={self.dims})"
 
 
-def _require_same_quiver(v: Representation, w: Representation) -> None:
+# formats.MAX_TOTAL_DIM ** 4, repeated here because formats imports this module.
+MAX_HOM_ENTRIES = 40**4
+
+
+def _check_hom_pair(v: Representation, w: Representation) -> None:
+    """Same quiver, and at most MAX_HOM_ENTRIES entries (equations x unknowns)
+    in the Hom system, whose arrow count no other cap bounds."""
     if v.quiver != w.quiver:
         raise ParseError("representations live over different quivers")
+    dv, dw = v.dims, w.dims
+    equations = sum(dw[a.target - 1] * dv[a.source - 1] for a in v.quiver.arrows)
+    entries = equations * sum(x * y for x, y in zip(dv, dw))
+    if entries > MAX_HOM_ENTRIES:
+        raise ParseError(
+            f"Hom system entries {entries} exceeds the cap of {MAX_HOM_ENTRIES}"
+        )
 
 
-def _hom_system(v: Representation, w: Representation) -> tuple[int, int, RatMatrix]:
+def _hom_system(v: Representation, w: Representation) -> RatMatrix:
     """Intertwining system f(t) V(a) = W(a) f(s) over all arrows.
 
-    Unknowns are the entries of the vertex blocks f(i), ordered by vertex and
-    then row-major; returns (unknowns, equations, system matrix).
+    Unknowns (the columns) are the entries of the vertex blocks f(i), ordered
+    by vertex and then row-major; each row is one equation.
     """
     dv, dw = v.dims, w.dims
     offsets = []
@@ -133,22 +130,21 @@ def _hom_system(v: Representation, w: Representation) -> tuple[int, int, RatMatr
                     if c:
                         row[offsets[s] + r * dv[s] + q] -= c
                 rows.append(row)
-    sysmat = RatMatrix(len(rows), total, (x for row in rows for x in row))
-    return total, len(rows), sysmat
+    return RatMatrix(len(rows), total, (x for row in rows for x in row))
 
 
 def hom_dim(v: Representation, w: Representation) -> int:
     """Dimension of the space of morphisms v -> w."""
-    _require_same_quiver(v, w)
-    unknowns, _, sysmat = _hom_system(v, w)
-    return unknowns - sysmat.rank()
+    _check_hom_pair(v, w)
+    sysmat = _hom_system(v, w)
+    return sysmat.cols - sysmat.rank()
 
 
 def ext1_dim(v: Representation, w: Representation) -> int:
     """Dimension of the first extension space of v by w."""
-    _require_same_quiver(v, w)
-    _, equations, sysmat = _hom_system(v, w)
-    return equations - sysmat.rank()
+    _check_hom_pair(v, w)
+    sysmat = _hom_system(v, w)
+    return sysmat.rows - sysmat.rank()
 
 
 def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

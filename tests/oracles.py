@@ -22,7 +22,7 @@ from typing import Sequence
 from quiverdeg.degeneration import _below_masks, enumerate_nilpotent
 from quiverdeg.errors import Inconsistent, ParseError
 from quiverdeg.linalg import RatMatrix
-from quiverdeg.reps import Arrow, Quiver, Representation, _require_same_quiver
+from quiverdeg.reps import Arrow, Quiver, Representation
 from quiverdeg.windows import (
     SimpleMultiset,
     Window,
@@ -126,7 +126,8 @@ def opposite(q: Quiver) -> Quiver:
 
 def direct_sum(v: Representation, w: Representation) -> Representation:
     """Blockwise direct sum over the same quiver."""
-    _require_same_quiver(v, w)
+    if v.quiver != w.quiver:
+        raise ParseError("representations live over different quivers")
     dims = tuple(a + b for a, b in zip(v.dims, w.dims))
     mats = []
     for mv, mw in zip(v.matrices, w.matrices):

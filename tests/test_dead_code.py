@@ -234,3 +234,66 @@ def test_public_gate_flags_a_classmethod_only_tests_call():
     matrix.body.append(method)
     trees = dict(TREES, **{"linalg.py": linalg})
     assert unreached_public_definitions(trees, ACCEPTANCE) == ["linalg.py: RatMatrix.from_rows"]
+
+
+def _is_named_tuple_base(base) -> bool:
+    """namedtuple(...) (plain or collections.namedtuple) or NamedTuple."""
+    if isinstance(base, ast.Call):
+        base = base.func
+    name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+    return name in ("namedtuple", "NamedTuple")
+
+
+def unconventional_classes(trees) -> list[str]:
+    """Classes that are neither a named tuple nor an exception, or that define
+    __init__, __eq__ or __hash__ by hand."""
+    classes = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    errors = {"Exception"}
+    grown = True
+    while grown:
+        found = {
+            node.name
+            for _, node in classes
+            if any(isinstance(b, ast.Name) and b.id in errors for b in node.bases)
+        }
+        grown = not found <= errors
+        errors |= found
+    flagged = []
+    for name, node in classes:
+        if node.name not in errors and not any(map(_is_named_tuple_base, node.bases)):
+            flagged.append(f"{name}: {node.name}")
+        defined = {
+            item.name for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        flagged.extend(
+            f"{name}: {node.name}.{dunder}"
+            for dunder in ("__init__", "__eq__", "__hash__")
+            if dunder in defined
+        )
+    return flagged
+
+
+def test_every_class_is_a_named_tuple_or_an_error():
+    unconventional = unconventional_classes(TREES)
+    assert not unconventional, unconventional
+
+
+def test_convention_gate_flags_a_hand_written_class():
+    # RatMatrix's equality as it stood before RatMatrix became a named tuple.
+    matrix = ast.parse(
+        "class RatMatrix:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.entries == other.entries\n"
+    ).body[0]
+    linalg = copy.deepcopy(TREES["linalg.py"])
+    linalg.body.append(matrix)
+    trees = dict(TREES, **{"linalg.py": linalg})
+    assert unconventional_classes(trees) == [
+        "linalg.py: RatMatrix",
+        "linalg.py: RatMatrix.__eq__",
+    ]

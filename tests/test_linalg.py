@@ -144,3 +144,12 @@ def test_matmul_and_apply():
     b = matrix_from_rows([[1, 0], [3, 1]])
     assert (a @ b) == matrix_from_rows([[7, 2], [3, 1]])
     assert a @ matrix_from_rows([[1], [1]]) == matrix_from_rows([[3], [1]])
+
+
+def test_matrix_blocks_tuple_arithmetic():
+    # A tuple base would concatenate or repeat the fields; a matrix sum or a
+    # scalar multiple is not defined here, so each raises TypeError.
+    m = matrix_from_rows([[1, 2], [3, 4]])
+    for op in (lambda: m + m, lambda: 2 * m, lambda: m * 2):
+        with pytest.raises(TypeError):
+            op()

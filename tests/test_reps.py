@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverdeg import formats, reps
 from quiverdeg.errors import ParseError
 from quiverdeg.reps import (
     Arrow,
@@ -198,3 +199,54 @@ def test_dual_of_window_is_single_window():
     decomposed = decompose_nilpotent(renamed)
     assert decomposed.summand_count() == 1
     assert decomposed.windows[0].length == 4
+
+
+class _HomSystemReached(Exception):
+    pass
+
+
+@pytest.fixture
+def hom_system_unreachable(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _HomSystemReached
+
+    monkeypatch.setattr(reps, "_hom_system", reached)
+
+
+def zero_loops(loops, dim=40):
+    """`loops` zero loops on one vertex of dimension dim."""
+    quiver = Quiver(1, tuple(Arrow(f"l{k}", 1, 1) for k in range(loops)))
+    return zero_rep(quiver, (dim,))
+
+
+def test_hom_system_cap_is_the_total_dimension_cap_to_the_fourth():
+    assert reps.MAX_HOM_ENTRIES == formats.MAX_TOTAL_DIM**4
+
+
+@pytest.mark.parametrize("invariant", [hom_dim, ext1_dim])
+def test_library_hom_system_cap_raises_before_the_system_is_built(
+    hom_system_unreachable, invariant
+):
+    # Two loops at dimension 40: 3,200 equations x 1,600 unknowns.
+    rep = zero_loops(2)
+    with pytest.raises(ParseError) as caught:
+        invariant(rep, rep)
+    assert str(caught.value) == (
+        f"Hom system entries {2 * 40**4} exceeds the cap of {40**4}"
+    )
+
+
+@pytest.mark.parametrize("invariant", [hom_dim, ext1_dim])
+def test_library_hom_system_cap_admits_one_loop_at_the_cap(
+    hom_system_unreachable, invariant
+):
+    rep = zero_loops(1)
+    with pytest.raises(_HomSystemReached):
+        invariant(rep, rep)
+
+
+def test_representation_blocks_tuple_arithmetic():
+    v = jordan_block(2)
+    for op in (lambda: v + v, lambda: 2 * v, lambda: v * 2):
+        with pytest.raises(TypeError):
+            op()
