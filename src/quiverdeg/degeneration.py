@@ -17,7 +17,7 @@ compare the rank order against.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
@@ -90,16 +90,17 @@ def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
 def _moves(needs, skip, guards, state, moves) -> bool:
     """Fill moves[state] for state = (c, remaining); True iff it is nonempty.
 
-    moves[(c, remaining)] lists the steps (c2, rest) with c2 >= c, candidate
+    moves[(c, remaining)] lists the steps (c2, rest) with c2 >= c, window
     c2 fitting in remaining and rest = remaining - needs[c2], that lead to a
     full class: rest is zero or has moves of its own. The completions of a
     state depend only on the state, so each state is explored once however
-    many prefixes reach it. Candidates come in (i, j) order, so a window that
+    many prefixes reach it. Windows come in (i, j) order, so a window that
     does not fit has no longer window with the same start that fits: the
-    loop jumps to skip[c2], the first candidate with the next start.
+    loop jumps to skip[c2], the first window with the next start.
 
-    Vectors are packed as in enumerate_nilpotent: a difference has a negative
-    entry iff it lost a guard bit, and it is zero iff it equals guards.
+    Vectors are packed as in _Tables, and the remaining vector keeps every
+    guard bit set: subtracting a window's vector borrows a guard iff an entry
+    goes below 0, and the difference is zero iff it equals guards.
     """
     steps = moves.get(state)
     if steps is None:
@@ -117,34 +118,19 @@ def _moves(needs, skip, guards, state, moves) -> bool:
     return bool(steps)
 
 
-def _walk(n, candidates, guards, moves, state, chosen, results) -> None:
+def _walk(n, windows, guards, moves, state, chosen, results) -> None:
     """Append every class that completes chosen from state to results, in order.
 
     Module-level functions rather than closures: a recursive closure refers
     to itself and keeps its whole frame alive until a cyclic collection.
     """
     for c, rest in moves[state]:
-        chosen.append(candidates[c])
+        chosen.append(windows[c])
         if rest == guards:
             results.append(WindowMultiset(n, chosen))
         else:
-            _walk(n, candidates, guards, moves, (c, rest), chosen, results)
+            _walk(n, windows, guards, moves, (c, rest), chosen, results)
         chosen.pop()
-
-
-def _candidates(n: int, d: tuple[int, ...]) -> list[Window]:
-    """Every window of rank n whose dimension vector fits in d, in (i, j) order.
-
-    Dimension vectors grow with length: each start stops at the first misfit.
-    """
-    candidates = []
-    for i in range(1, n + 1):
-        for length in range(1, sum(d) + 1):
-            w = Window(n, i, i + length - 1)
-            if any(a > b for a, b in zip(w.dim_vector(), d)):
-                break
-            candidates.append(w)
-    return candidates
 
 
 def _pack(vector, bits: int) -> int:
@@ -152,13 +138,69 @@ def _pack(vector, bits: int) -> int:
     return sum(x << bits * v for v, x in enumerate(vector))
 
 
+class _Tables(NamedTuple):
+    """What every dimension vector of rank n and one total shares.
+
+    windows lists the windows of rank n and length at most total, in (i, j)
+    order, and index maps each to its position. Dimension vectors are packed
+    by _pack with fields of bits = total.bit_length() + 1 bits, the top bit
+    of each a guard: needs[c] is the packed vector of windows[c], and
+    guards has every guard bit set. skip and moves are the tables of _moves;
+    a state (c, remaining) has the same completions whichever vector reached
+    it. hom[c] (window_hom_dim from windows[c] to every window) and ranks[c]
+    (its packed ranks) stay None until hasse asks for a vector that
+    windows[c] fits.
+    """
+
+    windows: tuple[Window, ...]
+    index: dict
+    bits: int
+    guards: int
+    needs: list[int]
+    skip: list[int]
+    moves: dict
+    hom: list
+    ranks: list
+
+
+@lru_cache(maxsize=1)
+def _tables(n: int, total: int) -> _Tables:
+    """The shared tables of rank n and total; one entry serves a whole total.
+
+    Callers that visit the vectors of one total together (scan does) build
+    them once, and memory stays bounded to one total's tables.
+    """
+    bits = total.bit_length() + 1
+    windows, needs = [], []
+    for i in range(1, n + 1):
+        need = 0
+        for j in range(i, i + total):
+            # [i, j] is [i, j - 1] plus one basis vector at the residue of j.
+            need += 1 << bits * ((j - 1) % n)
+            windows.append(Window(n, i, j))
+            needs.append(need)
+    return _Tables(
+        tuple(windows),
+        {w: c for c, w in enumerate(windows)},
+        bits,
+        _pack([1 << (bits - 1)] * n, bits),
+        needs,
+        [(c // total + 1) * total for c in range(len(windows))],
+        {},
+        [None] * len(windows),
+        [None] * len(windows),
+    )
+
+
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     """All window multisets with dimension vector d, in lexicographic order of
-    their (i, j) lists: candidates come in (i, j) order, each class takes
+    their (i, j) lists: windows come in (i, j) order, each class takes
     their indices in non-decreasing order, and no class is a prefix of another.
 
-    The move table of _moves is built first and then walked; it has no dead
-    ends, so every step of the walk leads to a class.
+    The move table of _moves is filled first and then walked; it has no dead
+    ends, so every step of the walk leads to a class. Every vector of the
+    same total shares the table, so a state already filled for one is walked
+    as it stands for the next.
     """
     d = tuple(int(x) for x in d)
     if len(d) != n:
@@ -167,20 +209,11 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
         raise ParseError("dimension vector entries must be nonnegative")
     if not any(d):
         return [WindowMultiset(n, ())]
-    candidates = _candidates(n, d)
-    # Each vector is one integer with a field of `bits` bits per vertex, the
-    # top bit of each field a guard that the remaining vector keeps set:
-    # subtracting a window's vector borrows a guard iff an entry goes below 0.
-    bits = max(d).bit_length() + 1
-    guards = _pack([1 << (bits - 1)] * n, bits)
-    needs = [_pack(w.dim_vector(), bits) for w in candidates]
-    starts = [w.i for w in candidates]
-    skip = [bisect_right(starts, i) for i in starts]
-    start = (0, guards + _pack(d, bits))
-    moves: dict = {}
-    _moves(needs, skip, guards, start, moves)
+    t = _tables(n, sum(d))
+    start = (0, t.guards + _pack(d, t.bits))
+    _moves(t.needs, t.skip, t.guards, start, t.moves)
     results: list[WindowMultiset] = []
-    _walk(n, candidates, guards, moves, start, [], results)
+    _walk(n, t.windows, t.guards, t.moves, start, [], results)
     return results
 
 
@@ -257,11 +290,17 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     nodes = enumerate_nilpotent(n, d)
     # Hom is biadditive over direct sums and each composite's rank adds over
     # summands, so a class's self-Hom and rank key are sums of per-window
-    # table entries, built once over the windows that fit in d.
-    windows = _candidates(n, d)
-    index = {w: k for k, w in enumerate(windows)}
-    hom = [[window_hom_dim(a, b) for b in windows] for a in windows]
-    ranks = [_packed_ranks(WindowMultiset(n, [w]), total) for w in windows]
+    # table entries. The rows live in _tables, shared by every vector of this
+    # total; a row is built the first time a vector that its window fits
+    # asks for it, so windows that no vector asks for cost nothing.
+    t = _tables(n, total)
+    hom, ranks, index = t.hom, t.ranks, t.index
+    top = t.guards + _pack(d, t.bits)
+    for c, need in enumerate(t.needs):
+        if hom[c] is None and (top - need) & t.guards == t.guards:
+            a = t.windows[c]
+            hom[c] = [window_hom_dim(a, b) for b in t.windows]
+            ranks[c] = _packed_ranks(WindowMultiset(n, [a]), total)
     # Byte c of a key is 255 minus the class's rank at composite c: no rank
     # exceeds total, so the packed sums carry into no other byte.
     width = n * (total + 1)

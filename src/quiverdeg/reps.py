@@ -29,6 +29,7 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     """Finite directed multigraph; multi-arrows and loops are permitted."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, vertex_count: int, arrows: Sequence[Arrow]) -> "Quiver":
         if vertex_count < 0:

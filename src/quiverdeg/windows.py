@@ -51,6 +51,7 @@ class Window(namedtuple("Window", "n i j")):
     """
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, i: int, j: int) -> "Window":
         if n < 1:
@@ -64,12 +65,6 @@ class Window(namedtuple("Window", "n i j")):
     def length(self) -> int:
         return self.j - self.i + 1
 
-    def dim_vector(self) -> tuple[int, ...]:
-        return tuple(
-            _count_congruent(self.i, self.j, v % self.n, self.n)
-            for v in range(1, self.n + 1)
-        )
-
     def __repr__(self) -> str:
         return f"({self.i},{self.j})"
 
@@ -78,6 +73,7 @@ class SimpleMultiset(namedtuple("SimpleMultiset", "n counts")):
     """Multiset of simple classes, stored as per-residue multiplicities."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, counts: Sequence[int]) -> "SimpleMultiset":
         counts = tuple(int(c) for c in counts)
@@ -102,6 +98,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
     """
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, windows: Iterable = ()) -> "WindowMultiset":
         if n < 1:

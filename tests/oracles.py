@@ -2,7 +2,8 @@
 
 Nothing in quiverdeg's commands or classifier reaches these, so they live
 with the tests: constructors for zero, identity and row-given matrices and
-zero representations, the dimension vector of a class, a second elimination (reduced row echelon form) to check
+zero representations, the dimension vectors of a window and of a class, a
+second elimination (reduced row echelon form) to check
 `RatMatrix.rank` and `decompose_nilpotent` by, the direct sum and duality
 constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
@@ -151,11 +152,19 @@ def dual(v: Representation) -> Representation:
     )
 
 
+def window_dim_vector(w: Window) -> tuple[int, ...]:
+    """Dimension vector of a window: how many of i..j fall at each residue."""
+    counts = [0] * w.n
+    for index in range(w.i, w.j + 1):
+        counts[residue(index, w.n) - 1] += 1
+    return tuple(counts)
+
+
 def multiset_dim_vector(ms: WindowMultiset) -> tuple[int, ...]:
     """Dimension vector of a class: the sum of its windows' vectors."""
     counts = [0] * ms.n
     for w in ms.windows:
-        for v, c in enumerate(w.dim_vector()):
+        for v, c in enumerate(window_dim_vector(w)):
             counts[v] += c
     return tuple(counts)
 
@@ -239,9 +248,9 @@ def enumerate_reference(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     for i in range(1, n + 1):
         for length in range(1, sum(d) + 1):
             w = Window(n, i, i + length - 1)
-            if all(a <= b for a, b in zip(w.dim_vector(), d)):
+            if all(a <= b for a, b in zip(window_dim_vector(w), d)):
                 candidates.append(w)
-    dim_vectors = [w.dim_vector() for w in candidates]
+    dim_vectors = [window_dim_vector(w) for w in candidates]
     starts = [w.i for w in candidates]
     skip = [bisect_right(starts, i) for i in starts]
     results: list[WindowMultiset] = []

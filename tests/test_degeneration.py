@@ -2,6 +2,7 @@ import ast
 import gc
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from quiverdeg.degeneration import (
     HasseDiagram,
     _below_masks,
     _covers,
+    _tables,
     TestSet as ProbeSet,
     codim,
     codim2_pairs,
@@ -542,6 +544,44 @@ def test_enumerate_nilpotent_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_shared_tables_do_not_change_an_answer():
+    # Each call must give what it gives on fresh tables, whatever vectors of
+    # its own or another (rank, total) filled the cache before it: once in a
+    # shuffled order that interleaves the keys, once grouped by key as scan
+    # visits them, so that one entry serves every vector of a total.
+    vectors = [
+        (n, d)
+        for n, max_total in ((1, 7), (2, 7), (3, 7), (4, 6))
+        for total in range(max_total + 1)
+        for d in _compositions(n, total)
+    ]
+    fresh = {}
+    for n, d in vectors:
+        _tables.cache_clear()
+        classes = enumerate_nilpotent(n, d)
+        _tables.cache_clear()
+        fresh[n, d] = (classes, hasse(n, d))
+    shuffled = vectors.copy()
+    random.Random(18).shuffle(shuffled)
+    for n, d in shuffled + vectors:
+        assert (enumerate_nilpotent(n, d), hasse(n, d)) == fresh[n, d], (n, d)
+
+
+def test_hasse_fills_hom_rows_only_for_windows_that_fit():
+    # An eager table would build 1,600 x 1,600 Hom entries for a vector that
+    # one or three windows fit.
+    for d, fits in (
+        ((40,) + (0,) * 39, [Window(40, 1, 1)]),
+        ((20, 20) + (0,) * 38, [Window(40, 1, 1), Window(40, 1, 2), Window(40, 2, 2)]),
+    ):
+        _tables.cache_clear()
+        hasse(40, d)
+        t = _tables(40, 40)
+        assert len(t.windows) == 1600
+        for rows in (t.hom, t.ranks):
+            assert [w for w, row in zip(t.windows, rows) if row is not None] == fits
 
 
 def test_degeneration_imports_neither_the_classifier_nor_a_pool():

@@ -35,6 +35,7 @@ from oracles import (
     multiset_top,
     quotient_to_radical,
     rref,
+    window_dim_vector,
     zero_rep,
 )
 
@@ -81,16 +82,36 @@ def test_window_is_immutable():
     assert (w.i, w.j) == (1, 3)
 
 
+def test_named_tuples_block_tuple_arithmetic():
+    # A tuple base would concatenate or repeat the fields, and a caller could
+    # misread Window + Window as a direct sum; each raises TypeError instead.
+    values = (
+        Window(2, 1, 3),
+        SimpleMultiset(2, (1, 0)),
+        WindowMultiset(2, [(1, 2)]),
+        cyclic_quiver(2),
+    )
+    for x in values:
+        for op in (lambda: x + x, lambda: 2 * x, lambda: x * 2):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_window_order_is_ij_order():
-    from quiverdeg.degeneration import _candidates
+    # The shared window list of each (rank, total), and its packed vectors
+    # (built one residue at a time) against the oracle's vectors.
+    from quiverdeg.degeneration import _pack, _tables
 
     seen = 0
     for n in (1, 2, 3):
         for dims in all_dim_vectors(n, 6):
-            candidates = _candidates(n, dims)
-            by_key = sorted(candidates, key=lambda w: (w.i, w.j))
-            assert sorted(reversed(candidates)) == by_key == candidates
-            seen += len(candidates)
+            t = _tables(n, sum(dims))
+            windows = list(t.windows)
+            by_key = sorted(windows, key=lambda w: (w.i, w.j))
+            assert sorted(reversed(windows)) == by_key == windows
+            vectors = [window_dim_vector(w) for w in windows]
+            assert t.needs == [_pack(v, t.bits) for v in vectors]
+            seen += sum(all(map(int.__le__, v, dims)) for v in vectors)
     assert seen == 511
 
 
