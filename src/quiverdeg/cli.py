@@ -138,29 +138,23 @@ def cmd_scan(args):
         raise ParseError("--max-n and --max-dim must be at least 1")
     _check_cap("--max-n", max_n, formats.MAX_RANK)
     _check_cap("--max-dim", max_dim, formats.MAX_TOTAL_DIM)
-    lines = [
-        f"{'n':>3} {'dim':<12} {'classes':>8} {'codim2':>7} {'Reg':>6} {'A_r':>6} {'Unres':>6}"
-    ]
-    totals = {"classes": 0, "codim2": 0, "reg": 0, "a": 0, "unresolved": 0}
-    unresolved_pairs = []
-    for row in scan_rows(max_n, max_dim):
-        dim_str = "(" + ",".join(str(x) for x in row["dim"]) + ")"
-        lines.append(
-            f"{row['n']:>3} {dim_str:<12} {row['classes']:>8} {row['codim2']:>7} "
-            f"{row['reg']:>6} {row['a']:>6} {row['unresolved']:>6}"
-        )
-        for key in totals:
-            totals[key] += row[key]
-        unresolved_pairs.extend(row["unresolved_pairs"])
-    lines.append(
-        f"{'':>3} {'TOTAL':<12} {totals['classes']:>8} {totals['codim2']:>7} "
-        f"{totals['reg']:>6} {totals['a']:>6} {totals['unresolved']:>6}"
-    )
-    if unresolved_pairs:
-        lines.append("unresolved pairs:")
-        lines.extend(f"  n={n}  {m!r} -> {nn!r}" for n, m, nn in unresolved_pairs)
-    else:
-        lines.append("no unresolved pairs")
+    row = "{:>3} {:<12} {:>8} {:>7} {:>6} {:>6} {:>6}".format
+    lines = [row("n", "dim", "classes", "codim2", "Reg", "A_r", "Unres")]
+    totals = [0] * 5
+    unresolved = []
+    for n, d, classes, pairs in scan_rows(max_n, max_dim):
+        kinds = [verdict.kind for _, _, verdict in pairs]
+        unres = [
+            f"  n={n}  {m!r} -> {nn!r}"
+            for m, nn, verdict in pairs
+            if verdict.kind not in ("Reg", "A")
+        ]
+        counts = (classes, len(pairs), kinds.count("Reg"), kinds.count("A"), len(unres))
+        totals = [x + y for x, y in zip(totals, counts)]
+        lines.append(row(n, "(" + ",".join(map(str, d)) + ")", *counts))
+        unresolved += unres
+    lines.append(row("", "TOTAL", *totals))
+    lines += ["unresolved pairs:", *unresolved] if unresolved else ["no unresolved pairs"]
     lines.append("no C-type labels emitted")
     _write_output("\n".join(lines) + "\n")
 

@@ -87,16 +87,16 @@ def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
     return multiset_hom_dim(nn, nn) - multiset_hom_dim(m, m)
 
 
-def _moves(needs, skip, guards, state, moves) -> bool:
+def _moves(needs, total, guards, state, moves) -> bool:
     """Fill moves[state] for state = (c, remaining); True iff it is nonempty.
 
     moves[(c, remaining)] lists the steps (c2, rest) with c2 >= c, window
     c2 fitting in remaining and rest = remaining - needs[c2], that lead to a
     full class: rest is zero or has moves of its own. The completions of a
     state depend only on the state, so each state is explored once however
-    many prefixes reach it. Windows come in (i, j) order, so a window that
-    does not fit has no longer window with the same start that fits: the
-    loop jumps to skip[c2], the first window with the next start.
+    many prefixes reach it. Windows come in (i, j) order, total per start,
+    so a window that does not fit has no longer window with the same start
+    that fits: the loop jumps to the first window with the next start.
 
     Vectors are packed as in _Tables, and the remaining vector keeps every
     guard bit set: subtracting a window's vector borrows a guard iff an entry
@@ -109,9 +109,9 @@ def _moves(needs, skip, guards, state, moves) -> bool:
         while c < len(needs):
             rest = remaining - needs[c]
             if rest & guards != guards:
-                c = skip[c]
+                c = (c // total + 1) * total
                 continue
-            if rest == guards or _moves(needs, skip, guards, (c, rest), moves):
+            if rest == guards or _moves(needs, total, guards, (c, rest), moves):
                 steps.append((c, rest))
             c += 1
         moves[state] = steps
@@ -142,22 +142,20 @@ class _Tables(NamedTuple):
     """What every dimension vector of rank n and one total shares.
 
     windows lists the windows of rank n and length at most total, in (i, j)
-    order, and index maps each to its position. Dimension vectors are packed
-    by _pack with fields of bits = total.bit_length() + 1 bits, the top bit
-    of each a guard: needs[c] is the packed vector of windows[c], and
-    guards has every guard bit set. skip and moves are the tables of _moves;
-    a state (c, remaining) has the same completions whichever vector reached
-    it. hom[c] (window_hom_dim from windows[c] to every window) and ranks[c]
+    order, so [i, j] sits at (i - 1) * total + j - i. Dimension vectors are
+    packed by _pack with fields of bits = total.bit_length() + 1 bits, the
+    top bit of each a guard: needs[c] is the packed vector of windows[c], and
+    guards has every guard bit set. moves is the table of _moves; a state
+    (c, remaining) has the same completions whichever vector reached it.
+    hom[c] (window_hom_dim from windows[c] to every window) and ranks[c]
     (its packed ranks) stay None until hasse asks for a vector that
     windows[c] fits.
     """
 
     windows: tuple[Window, ...]
-    index: dict
     bits: int
     guards: int
     needs: list[int]
-    skip: list[int]
     moves: dict
     hom: list
     ranks: list
@@ -181,11 +179,9 @@ def _tables(n: int, total: int) -> _Tables:
             needs.append(need)
     return _Tables(
         tuple(windows),
-        {w: c for c, w in enumerate(windows)},
         bits,
         _pack([1 << (bits - 1)] * n, bits),
         needs,
-        [(c // total + 1) * total for c in range(len(windows))],
         {},
         [None] * len(windows),
         [None] * len(windows),
@@ -200,18 +196,22 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     The move table of _moves is filled first and then walked; it has no dead
     ends, so every step of the walk leads to a class. Every vector of the
     same total shares the table, so a state already filled for one is walked
-    as it stands for the next.
+    as it stands for the next. Both recurse once per summand; the total is
+    at most 255, one byte per rank for hasse, which bounds that depth too.
     """
     d = tuple(int(x) for x in d)
     if len(d) != n:
         raise ParseError(f"dimension vector must have length {n}")
     if any(x < 0 for x in d):
         raise ParseError("dimension vector entries must be nonnegative")
-    if not any(d):
+    total = sum(d)
+    if total > 255:
+        raise ParseError(f"total dimension {total} exceeds 255, the most a byte holds")
+    if not total:
         return [WindowMultiset(n, ())]
-    t = _tables(n, sum(d))
+    t = _tables(n, total)
     start = (0, t.guards + _pack(d, t.bits))
-    _moves(t.needs, t.skip, t.guards, start, t.moves)
+    _moves(t.needs, total, t.guards, start, t.moves)
     results: list[WindowMultiset] = []
     _walk(n, t.windows, t.guards, t.moves, start, [], results)
     return results
@@ -281,20 +281,19 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
     Comput. 1, 1972), peeled by _covers off masks over the classes sorted
     by self-Hom dimension, which grows strictly along a degeneration. Each
-    rank of a class is packed in a byte, so the total is at most 255.
+    rank of a class is packed in a byte, so the total is at most 255, as
+    enumerate_nilpotent checks.
     """
     d = tuple(int(x) for x in d)
-    total = sum(d)
-    if total > 255:
-        raise ParseError(f"total dimension {total} exceeds 255, the most a byte holds")
     nodes = enumerate_nilpotent(n, d)
+    total = sum(d)
     # Hom is biadditive over direct sums and each composite's rank adds over
     # summands, so a class's self-Hom and rank key are sums of per-window
     # table entries. The rows live in _tables, shared by every vector of this
     # total; a row is built the first time a vector that its window fits
     # asks for it, so windows that no vector asks for cost nothing.
     t = _tables(n, total)
-    hom, ranks, index = t.hom, t.ranks, t.index
+    hom, ranks = t.hom, t.ranks
     top = t.guards + _pack(d, t.bits)
     for c, need in enumerate(t.needs):
         if hom[c] is None and (top - need) & t.guards == t.guards:
@@ -307,7 +306,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     ceiling = (1 << 8 * width) - 1
     self_hom, keys = [], []
     for node in nodes:
-        ids = [index[w] for w in node.windows]
+        ids = [(i - 1) * total + j - i for _, i, j in node.windows]
         self_hom.append(sum(sum(map(hom[a].__getitem__, ids)) for a in ids))
         key = ceiling - sum(map(ranks.__getitem__, ids))
         keys.append(key.to_bytes(width, "little"))

@@ -282,36 +282,23 @@ def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> Singular
 
 
 def scan_rows(max_n: int, max_dim: int):
-    """Per-dimension-vector tallies of the verdicts on all codim-2 pairs.
+    """The verdicts on all codim-2 pairs, one row per dimension vector.
 
-    For each rank n <= max_n and dimension vector of total <= max_dim, every
-    ordered pair of classes with codimension exactly 2 is classified; pairs
-    come in the order (upper, lower) of their node indices. Verdicts are
-    shared across the whole scan by the pair left after cancelling common
-    summands; Unresolved pairs are listed as found, uncancelled.
+    For each rank n <= max_n and dimension vector d of total <= max_dim,
+    yields (n, d, classes, pairs): the number of classes and every ordered
+    pair of classes with codimension exactly 2 as (upper, lower, verdict),
+    in the order (upper, lower) of their node indices. Verdicts are shared
+    across the whole scan by the pair left after cancelling common summands.
     """
-    tally_key = {"Reg": "reg", "A": "a"}
     memo: dict = {}
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
             diagram = hasse(n, d)
-            tally = {"reg": 0, "a": 0, "unresolved": 0}
-            unresolved_pairs = []
+            nodes, pairs = diagram.nodes, []
             for a, b in codim2_pairs(diagram):
-                upper, lower = diagram.nodes[a], diagram.nodes[b]
-                verdict = _memo_verdict(memo, upper, lower)
-                key = tally_key.get(verdict.kind, "unresolved")
-                tally[key] += 1
-                if key == "unresolved":
-                    unresolved_pairs.append((n, upper, lower))
-            yield {
-                "n": n,
-                "dim": d,
-                "classes": len(diagram.nodes),
-                "codim2": sum(tally.values()),
-                **tally,
-                "unresolved_pairs": unresolved_pairs,
-            }
+                upper, lower = nodes[a], nodes[b]
+                pairs.append((upper, lower, _memo_verdict(memo, upper, lower)))
+            yield n, d, len(nodes), pairs
 
 
 def annotate(diagram: HasseDiagram) -> HasseDiagram:

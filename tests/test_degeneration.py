@@ -512,6 +512,12 @@ def test_hasse_codims_equal_codim():
 def test_hasse_rejects_a_total_past_one_byte_per_rank():
     with pytest.raises(ParseError, match="total dimension 256 exceeds 255"):
         hasse(2, (128, 128))
+    # enumerate_nilpotent holds the check, and it also bounds the depth of its
+    # recursion: 2,000 summands raised RecursionError before.
+    for total in (256, 2000):
+        with pytest.raises(ParseError, match=f"total dimension {total} exceeds 255"):
+            enumerate_nilpotent(2, (total, 0))
+    assert enumerate_nilpotent(2, (255, 0)) == [WindowMultiset(2, [(1, 1)] * 255)]
 
 
 def test_codim2_pairs_equal_the_mask_search():

@@ -109,6 +109,9 @@ def test_window_order_is_ij_order():
             windows = list(t.windows)
             by_key = sorted(windows, key=lambda w: (w.i, w.j))
             assert sorted(reversed(windows)) == by_key == windows
+            # The position _moves and hasse compute rather than look up.
+            total = sum(dims)
+            assert all(windows[(w.i - 1) * total + w.j - w.i] == w for w in windows)
             vectors = [window_dim_vector(w) for w in windows]
             assert t.needs == [_pack(v, t.bits) for v in vectors]
             seen += sum(all(map(int.__le__, v, dims)) for v in vectors)
