@@ -147,9 +147,8 @@ class _Tables(NamedTuple):
     top bit of each a guard: needs[c] is the packed vector of windows[c], and
     guards has every guard bit set. moves is the table of _moves; a state
     (c, remaining) has the same completions whichever vector reached it.
-    hom[c] (window_hom_dim from windows[c] to every window) and ranks[c]
-    (its packed ranks) stay None until hasse asks for a vector that
-    windows[c] fits.
+    ranks[c] (the packed ranks of windows[c]) stays None until hasse asks
+    for a vector that windows[c] fits.
     """
 
     windows: tuple[Window, ...]
@@ -157,7 +156,6 @@ class _Tables(NamedTuple):
     guards: int
     needs: list[int]
     moves: dict
-    hom: list
     ranks: list
 
 
@@ -183,7 +181,6 @@ def _tables(n: int, total: int) -> _Tables:
         _pack([1 << (bits - 1)] * n, bits),
         needs,
         {},
-        [None] * len(windows),
         [None] * len(windows),
     )
 
@@ -287,29 +284,31 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     d = tuple(int(x) for x in d)
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
-    # Hom is biadditive over direct sums and each composite's rank adds over
-    # summands, so a class's self-Hom and rank key are sums of per-window
-    # table entries. The rows live in _tables, shared by every vector of this
-    # total; a row is built the first time a vector that its window fits
-    # asks for it, so windows that no vector asks for cost nothing.
+    # A composite's rank adds over summands, so a class's rank key sums its
+    # windows' packed ranks, built when a vector they fit first asks for them.
     t = _tables(n, total)
-    hom, ranks = t.hom, t.ranks
     top = t.guards + _pack(d, t.bits)
     for c, need in enumerate(t.needs):
-        if hom[c] is None and (top - need) & t.guards == t.guards:
-            a = t.windows[c]
-            hom[c] = [window_hom_dim(a, b) for b in t.windows]
-            ranks[c] = _packed_ranks(WindowMultiset(n, [a]), total)
-    # Byte c of a key is 255 minus the class's rank at composite c: no rank
-    # exceeds total, so the packed sums carry into no other byte.
-    width = n * (total + 1)
+        if t.ranks[c] is None and (top - need) & t.guards == t.guards:
+            t.ranks[c] = _packed_ranks(WindowMultiset(n, [t.windows[c]]), total)
+    # Byte (v - 1) * (total + 1) + l of a key is 255 minus the class's rank
+    # at the composite of l arrows from v; no rank exceeds total, so no sum
+    # carries. Hom out of a window is a kernel: a morphism from [i, j] is
+    # fixed by where its top vector goes, any vector at the residue v of j
+    # that the composite of j - i + 1 <= total arrows from v kills. So
+    # hom([i, j], X) = rank_X(v, 0) - rank_X(v, j - i + 1), two bytes of row v.
+    stride = total + 1
+    width = n * stride
     ceiling = (1 << 8 * width) - 1
     self_hom, keys = [], []
     for node in nodes:
         ids = [(i - 1) * total + j - i for _, i, j in node.windows]
-        self_hom.append(sum(sum(map(hom[a].__getitem__, ids)) for a in ids))
-        key = ceiling - sum(map(ranks.__getitem__, ids))
-        keys.append(key.to_bytes(width, "little"))
+        key = (ceiling - sum(map(t.ranks.__getitem__, ids))).to_bytes(width, "little")
+        self_hom.append(sum(
+            key[(j - 1) % n * stride + j - i + 1] - key[(j - 1) % n * stride]
+            for _, i, j in node.windows
+        ))
+        keys.append(key)
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     below = _below_masks([keys[e] for e in order])
     pairs = sorted((order[g], order[h]) for g, h in _covers(below))

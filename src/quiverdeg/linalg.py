@@ -9,18 +9,21 @@ bit and intermediate values stay integral on integral input.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, a Fraction or a "p/q" string.
+    """Parse an exact rational from an int, a Fraction or a "p" or "p/q" string.
 
-    Floats are rejected; they would silently lose exactness.
+    Floats would silently lose exactness, so they are rejected. So are the
+    decimals and exponents Fraction reads: "1e3000000" has 3,000,001 digits.
     """
     if isinstance(value, bool):
         raise ValueError(f"cannot interpret {value!r} as a rational")
@@ -28,9 +31,11 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            if _RATIONAL.fullmatch(value.strip()):
+                return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
+        raise ValueError(f"cannot parse rational from {value!r}")
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 

@@ -221,7 +221,7 @@ def classify(
             cm, cn = rm, rn
             current = _checked_codim(cm, cn)
             steps.append(ReductionStep("cancel", cm, cn, current))
-        if cm.is_empty() or current <= 1:
+        if current <= 1:
             result = SingularityType.reg()
             break
         kind, reduced = "socle", socle_reduce(cm, cn)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import shlex
+import time
 import weakref
 from pathlib import Path
 
@@ -358,6 +359,26 @@ def test_matrix_floats_rejected(tmp_path):
     result = invoke(["decompose", str(path)])
     assert result.exit_code == 2
     assert "a1" in result.output
+
+
+def test_matrix_exponents_rejected_fast(tmp_path):
+    # Fraction reads "1e3000000" as a 3,000,001-digit integer: hom took 11 s
+    # on this file and exited 0.
+    obj = {
+        "quiver": {
+            "vertex_count": 1,
+            "arrows": [{"id": "a1", "source": 1, "target": 1}],
+        },
+        "dims": [2],
+        "matrices": {"a1": [[0, "1e3000000"], [0, 0]]},
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    result = invoke(["hom", str(path), str(path)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "matrices.a1[0][1]: cannot parse rational from '1e3000000'" in result.output
 
 
 def test_rep_file_round_trips_byte_stably(tmp_path):

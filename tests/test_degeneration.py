@@ -27,7 +27,13 @@ from quiverdeg.degeneration import (
 )
 from quiverdeg.errors import NotADegeneration, ParseError
 from quiverdeg.singularity import _compositions, _dim_vectors, annotate
-from quiverdeg.windows import Window, WindowMultiset, multiset_hom_dim
+from quiverdeg.windows import (
+    Window,
+    WindowMultiset,
+    multiset_hom_dim,
+    multiset_ranks,
+    residue,
+)
 
 from conftest import random_multiset
 from oracles import (
@@ -498,9 +504,28 @@ def test_hasse_edges_are_the_naive_covers():
                 assert got == covers, (n, dims)
 
 
+def test_window_hom_is_a_kernel_of_the_rank_table():
+    # hasse reads self-Hom off the rank key: Hom out of [i, j] is the kernel
+    # of the composite of j - i + 1 arrows at the residue v of j, so
+    # hom([i, j], N) = r[v - 1][0] - r[v - 1][j - i + 1]. Taking v from i
+    # instead gives other counts, so the check tells the two residues apart.
+    mismatches_at_i = 0
+    for n in range(1, 5):
+        for nn in (c for d in _dim_vectors(n, 6) for c in enumerate_nilpotent(n, d)):
+            for length in range(1, 11):
+                r = multiset_ranks(nn, length)
+                for i in range(1, n + 1):
+                    a = Window(n, i, i + length - 1)
+                    hom = multiset_hom_dim(WindowMultiset(n, [a]), nn)
+                    v, u = residue(a.j, n), residue(a.i, n)
+                    assert hom == r[v - 1][0] - r[v - 1][length], (a, nn)
+                    mismatches_at_i += hom != r[u - 1][0] - r[u - 1][length]
+    assert mismatches_at_i
+
+
 def test_hasse_codims_equal_codim():
-    # hasse sums each class's self-Hom off a window x window table; codim
-    # takes multiset_hom_dim of the two classes.
+    # hasse reads each class's self-Hom off its rank key; codim takes
+    # multiset_hom_dim of the two classes.
     vectors = [(n, d) for n in (1, 2, 3) for d in _dim_vectors(n, 7)]
     for n, d in vectors + [(3, (4, 4, 4))]:
         diagram = hasse(n, d)
@@ -575,9 +600,9 @@ def test_shared_tables_do_not_change_an_answer():
         assert (enumerate_nilpotent(n, d), hasse(n, d)) == fresh[n, d], (n, d)
 
 
-def test_hasse_fills_hom_rows_only_for_windows_that_fit():
-    # An eager table would build 1,600 x 1,600 Hom entries for a vector that
-    # one or three windows fit.
+def test_hasse_fills_rank_rows_only_for_windows_that_fit():
+    # An eager table would pack the ranks of all 1,600 windows for a vector
+    # that one or three windows fit.
     for d, fits in (
         ((40,) + (0,) * 39, [Window(40, 1, 1)]),
         ((20, 20) + (0,) * 38, [Window(40, 1, 1), Window(40, 1, 2), Window(40, 2, 2)]),
@@ -586,8 +611,7 @@ def test_hasse_fills_hom_rows_only_for_windows_that_fit():
         hasse(40, d)
         t = _tables(40, 40)
         assert len(t.windows) == 1600
-        for rows in (t.hom, t.ranks):
-            assert [w for w, row in zip(t.windows, rows) if row is not None] == fits
+        assert [w for w, row in zip(t.windows, t.ranks) if row is not None] == fits
 
 
 def test_degeneration_imports_neither_the_classifier_nor_a_pool():

@@ -22,6 +22,10 @@ def test_parse_rational_forms():
     assert parse_rational("-7") == Fraction(-7)
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # Only integers and "p/q": Fraction alone would also read these.
+    for text in ("1e3000000", "0.5", "1_000"):
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            parse_rational(text)
     with pytest.raises(ValueError):
         parse_rational(0.5)
     with pytest.raises(ValueError):
