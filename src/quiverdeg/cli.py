@@ -26,15 +26,16 @@ def _write_output(text: str, out: str | None = None) -> None:
     # Looked up on each call rather than bound once, so that a caller's
     # contextlib.redirect_stdout is honoured, and nothing here keeps a
     # reference to a stream after the call.
-    if out is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-        return
     try:
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ParseError(f"{out}: {exc.strerror or exc}") from exc
+        where = "stdout" if out is None else out
+        raise ParseError(f"{where}: {exc.strerror or exc}") from exc
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:

@@ -58,12 +58,6 @@ def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
     )
 
 
-def _packed_ranks(ms: WindowMultiset, total: int) -> int:
-    """multiset_ranks(ms, total) row by row as one integer, one byte per rank."""
-    ranks = bytes(r for row in multiset_ranks(ms, total) for r in row)
-    return int.from_bytes(ranks, "little")
-
-
 def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
     """True iff m degenerates to nn: same dimension vector, dominating ranks.
 
@@ -147,8 +141,9 @@ class _Tables(NamedTuple):
     top bit of each a guard: needs[c] is the packed vector of windows[c], and
     guards has every guard bit set. moves is the table of _moves; a state
     (c, remaining) has the same completions whichever vector reached it.
-    ranks[c] (the packed ranks of windows[c]) stays None until hasse asks
-    for a vector that windows[c] fits.
+    ranks[c] is multiset_ranks of windows[c] with total steps as one integer:
+    byte (v - 1) * (total + 1) + t is the rank of the composite of t arrows
+    from v.
     """
 
     windows: tuple[Window, ...]
@@ -167,21 +162,22 @@ def _tables(n: int, total: int) -> _Tables:
     them once, and memory stays bounded to one total's tables.
     """
     bits = total.bit_length() + 1
-    windows, needs = [], []
+    windows, needs, ranks = [], [], []
     for i in range(1, n + 1):
-        need = 0
+        need = rank = run = 0
         for j in range(i, i + total):
-            # [i, j] is [i, j - 1] plus one basis vector at the residue of j.
-            need += 1 << bits * ((j - 1) % n)
+            # [i, j] is [i, j - 1] plus one basis vector at the residue of j,
+            # which the composites of 0..j - i arrows from there keep: run
+            # has one 0x01 byte per such composite, in that residue's row.
+            row = (j - 1) % n
+            run = run << 8 | 1
+            need += 1 << bits * row
+            rank += run << 8 * (total + 1) * row
             windows.append(Window(n, i, j))
             needs.append(need)
+            ranks.append(rank)
     return _Tables(
-        tuple(windows),
-        bits,
-        _pack([1 << (bits - 1)] * n, bits),
-        needs,
-        {},
-        [None] * len(windows),
+        tuple(windows), bits, _pack([1 << (bits - 1)] * n, bits), needs, {}, ranks
     )
 
 
@@ -285,12 +281,8 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
     # A composite's rank adds over summands, so a class's rank key sums its
-    # windows' packed ranks, built when a vector they fit first asks for them.
-    t = _tables(n, total)
-    top = t.guards + _pack(d, t.bits)
-    for c, need in enumerate(t.needs):
-        if t.ranks[c] is None and (top - need) & t.guards == t.guards:
-            t.ranks[c] = _packed_ranks(WindowMultiset(n, [t.windows[c]]), total)
+    # windows' packed ranks.
+    ranks = _tables(n, total).ranks
     # Byte (v - 1) * (total + 1) + l of a key is 255 minus the class's rank
     # at the composite of l arrows from v; no rank exceeds total, so no sum
     # carries. Hom out of a window is a kernel: a morphism from [i, j] is
@@ -303,7 +295,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     self_hom, keys = [], []
     for node in nodes:
         ids = [(i - 1) * total + j - i for _, i, j in node.windows]
-        key = (ceiling - sum(map(t.ranks.__getitem__, ids))).to_bytes(width, "little")
+        key = (ceiling - sum(map(ranks.__getitem__, ids))).to_bytes(width, "little")
         self_hom.append(sum(
             key[(j - 1) % n * stride + j - i + 1] - key[(j - 1) % n * stride]
             for _, i, j in node.windows

@@ -11,7 +11,8 @@ top and radical read directly off the window ends, to check `top_reduce`
 a graded numbering with the codimension-2 pairs searched off it, to check
 `degeneration.codim2_pairs` (read off the Hasse covers) by. The plain
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
-move table), and the negated rank lists check `hasse`'s packed rank keys.
+move table), the negated rank lists check `hasse`'s packed rank keys, and
+the ranks packed from `multiset_ranks` check the rows `_tables` builds.
 """
 
 from __future__ import annotations
@@ -214,6 +215,12 @@ def top_reduce(m: WindowMultiset, nn: WindowMultiset):
 def rank_key(ms: WindowMultiset, total: int) -> list[int]:
     """Negated composite ranks: the order is componentwise <= on these keys."""
     return [-r for row in multiset_ranks(ms, total) for r in row]
+
+
+def packed_ranks(ms: WindowMultiset, total: int) -> int:
+    """multiset_ranks(ms, total) row by row as one integer, one byte per rank."""
+    ranks = bytes(r for row in multiset_ranks(ms, total) for r in row)
+    return int.from_bytes(ranks, "little")
 
 
 def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> None:

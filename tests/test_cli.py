@@ -3,7 +3,10 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import weakref
 from pathlib import Path
@@ -486,6 +489,28 @@ def test_classify_unwritable_trace_exits_2(tmp_path):
     trace = tmp_path / "missing" / "dir" / "t.json"
     result = invoke(["classify", m, nn, "--trace", str(trace)])
     assert_clean_exit_2(result, trace)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [["scan", "--max-n", "1", "--max-dim", "2"], ["hasse", "--n", "2", "--dim", "1,1"]],
+)
+def test_full_stdout_exits_2_with_one_line(args):
+    # A write to stdout that fails ends like an unwritable -o file, and the
+    # interpreter's own flush at exit adds nothing to stderr.
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "quiverdeg.cli", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("error: stdout: ")
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 def test_hasse_jobs_is_a_hidden_compatibility_flag():

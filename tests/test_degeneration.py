@@ -41,6 +41,7 @@ from oracles import (
     enumerate_reference,
     graded_masks,
     multiset_dim_vector,
+    packed_ranks,
 )
 
 
@@ -483,25 +484,31 @@ def test_peeled_covers_are_the_naive_covers(rows):
 
 
 def test_hasse_edges_are_the_naive_covers():
-    for n in (1, 2, 3):
-        for total in range(1, 6):
-            for dims in _compositions(n, total):
-                nodes = enumerate_nilpotent(n, dims)
-                k = range(len(nodes))
-                below = [
-                    [a != b and degenerates(nodes[a], nodes[b]) for b in k]
-                    for a in k
-                ]
-                covers = [
-                    (a, b, codim(nodes[a], nodes[b]))
-                    for a in k
-                    for b in k
-                    if below[a][b] and not any(below[a][c] and below[c][b] for c in k)
-                ]
-                diagram = hasse(n, dims)
-                assert list(diagram.nodes) == nodes
-                got = [(e.upper, e.lower, e.codim) for e in diagram.edges]
-                assert got == covers, (n, dims)
+    # The last three sit at the byte limit of the packed rank keys: the rank
+    # at (1, 0) is 255, 254 and 253, with 1, 4 and 14 classes. Their classes
+    # have up to 255 summands, so each class's self-Hom is summed once
+    # (codim sums two per pair, 255^2 window Homs each).
+    cases = [
+        (n, dims)
+        for n in (1, 2, 3)
+        for total in range(1, 6)
+        for dims in _compositions(n, total)
+    ]
+    for n, dims in cases + [(2, (255, 0)), (2, (254, 1)), (2, (253, 2))]:
+        nodes = enumerate_nilpotent(n, dims)
+        k = range(len(nodes))
+        below = [[a != b and degenerates(nodes[a], nodes[b]) for b in k] for a in k]
+        self_hom = [multiset_hom_dim(x, x) for x in nodes]
+        covers = [
+            (a, b, self_hom[b] - self_hom[a])
+            for a in k
+            for b in k
+            if below[a][b] and not any(below[a][c] and below[c][b] for c in k)
+        ]
+        diagram = hasse(n, dims)
+        assert list(diagram.nodes) == nodes
+        got = [(e.upper, e.lower, e.codim) for e in diagram.edges]
+        assert got == covers, (n, dims)
 
 
 def test_window_hom_is_a_kernel_of_the_rank_table():
@@ -581,7 +588,8 @@ def test_shared_tables_do_not_change_an_answer():
     # Each call must give what it gives on fresh tables, whatever vectors of
     # its own or another (rank, total) filled the cache before it: once in a
     # shuffled order that interleaves the keys, once grouped by key as scan
-    # visits them, so that one entry serves every vector of a total.
+    # visits them, so that one entry serves every vector of a total. Only
+    # the move table fills as calls come; every other field stays as built.
     vectors = [
         (n, d)
         for n, max_total in ((1, 7), (2, 7), (3, 7), (4, 6))
@@ -598,20 +606,21 @@ def test_shared_tables_do_not_change_an_answer():
     random.Random(18).shuffle(shuffled)
     for n, d in shuffled + vectors:
         assert (enumerate_nilpotent(n, d), hasse(n, d)) == fresh[n, d], (n, d)
+        shared = _tables(n, sum(d))._replace(moves=None)
+        assert shared == _tables.__wrapped__(n, sum(d))._replace(moves=None), (n, d)
 
 
-def test_hasse_fills_rank_rows_only_for_windows_that_fit():
-    # An eager table would pack the ranks of all 1,600 windows for a vector
-    # that one or three windows fit.
-    for d, fits in (
-        ((40,) + (0,) * 39, [Window(40, 1, 1)]),
-        ((20, 20) + (0,) * 38, [Window(40, 1, 1), Window(40, 1, 2), Window(40, 2, 2)]),
-    ):
-        _tables.cache_clear()
-        hasse(40, d)
-        t = _tables(40, 40)
-        assert len(t.windows) == 1600
-        assert [w for w, row in zip(t.windows, t.ranks) if row is not None] == fits
+def test_rank_rows_are_the_packed_rank_tables():
+    # _tables builds each window's row off the previous window's; the oracle
+    # packs multiset_ranks of the window alone. (40, 40) is the widest key
+    # within the CLI caps; totals of 255 are the byte limit, which a rank of
+    # [1, 255] in (1, 255) reaches.
+    keys = [(n, total) for n in range(1, 6) for total in range(13)]
+    for n, total in keys + [(40, 40), (2, 255), (1, 255)]:
+        t = _tables.__wrapped__(n, total)
+        assert t.ranks == [
+            packed_ranks(WindowMultiset(n, [w]), total) for w in t.windows
+        ], (n, total)
 
 
 def test_degeneration_imports_neither_the_classifier_nor_a_pool():
