@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import degeneration as dg
@@ -34,8 +35,12 @@ def _write_output(text: str, out: str | None = None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        where = "stdout" if out is None else out
-        raise ParseError(f"{where}: {exc.strerror or exc}") from exc
+        if out is None:
+            # A buffered stdout keeps the bytes it failed to flush, and the flush
+            # at exit would fail on them again: send them to devnull instead.
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ParseError(f"{'stdout' if out is None else out}: {exc.strerror or exc}") from exc
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:

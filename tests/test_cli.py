@@ -492,20 +492,27 @@ def test_classify_unwritable_trace_exits_2(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "args",
     [["scan", "--max-n", "1", "--max-dim", "2"], ["hasse", "--n", "2", "--dim", "1,1"]],
 )
-def test_full_stdout_exits_2_with_one_line(args):
+def test_full_stdout_exits_2_with_one_line(args, unbuffered):
     # A write to stdout that fails ends like an unwritable -o file, and the
-    # interpreter's own flush at exit adds nothing to stderr.
+    # interpreter's own flush at exit adds nothing to stderr. A buffered
+    # stdout (the default for a file or pipe) keeps the bytes whose flush
+    # failed, so both modes are run whatever the calling environment sets.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         done = subprocess.run(
             [sys.executable, "-m", "quiverdeg.cli", *args],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
-            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+            env=env,
         )
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1, done.stderr
