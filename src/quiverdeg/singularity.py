@@ -18,7 +18,6 @@ recording further quotient steps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
@@ -330,9 +329,7 @@ def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:
     if r < 1:
         raise ParseError("model variety index must be at least 1")
     kind = kind.upper()
-    coords = [
-        x if isinstance(x, Fraction) else parse_rational(x) for x in point
-    ]
+    coords = [parse_rational(x) for x in point]
     if kind == "A":
         if len(coords) != 3:
             raise ParseError(f"A({r}) points have 3 coordinates, got {len(coords)}")

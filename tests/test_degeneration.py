@@ -26,6 +26,7 @@ from quiverdeg.degeneration import (
     to_json_obj,
 )
 from quiverdeg.errors import NotADegeneration, ParseError
+from quiverdeg.formats import MAX_RANK, MAX_TOTAL_DIM
 from quiverdeg.singularity import _compositions, _dim_vectors, annotate
 from quiverdeg.windows import (
     Window,
@@ -621,6 +622,16 @@ def test_rank_rows_are_the_packed_rank_tables():
         assert t.ranks == [
             packed_ranks(WindowMultiset(n, [w]), total) for w in t.windows
         ], (n, total)
+
+
+def test_rank_rows_within_the_cli_caps_stay_under_3_mb():
+    # _tables packs rank rows for every window of its key, also for callers
+    # that never read them. At the widest key the CLI admits that is 1,600
+    # rows and 2,143,480 bytes; a change to the row layout or to the caps
+    # must not grow it unseen. Library callers may reach totals of 255.
+    t = _tables.__wrapped__(MAX_RANK, MAX_TOTAL_DIM)
+    assert len(t.ranks) == MAX_RANK * MAX_TOTAL_DIM
+    assert sum((row.bit_length() + 7) // 8 for row in t.ranks) < 3_000_000
 
 
 def test_degeneration_imports_neither_the_classifier_nor_a_pool():
