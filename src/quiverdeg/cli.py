@@ -18,7 +18,7 @@ import sys
 from . import degeneration as dg
 from . import formats
 from .errors import Error, ParseError
-from .reps import ext1_dim, euler_form, hom_dim
+from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap, ext1_dim, euler_form, hom_dim
 from .singularity import annotate, classify, scan_rows
 from .windows import decompose_nilpotent, realize
 
@@ -48,12 +48,6 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
         return tuple(int(part) for part in raw.split(","))
     except ValueError as exc:
         raise ParseError(f"bad dimension vector {raw!r}: {exc}") from exc
-
-
-def _check_cap(field: str, value: int, cap: int) -> None:
-    """Reject a size above its cap (formats.MAX_*) before anything is built."""
-    if value > cap:
-        raise ParseError(f"{field} {value} exceeds the cap of {cap}")
 
 
 def cmd_hom(args):
@@ -116,12 +110,12 @@ def cmd_hasse(args):
     dims = _parse_dims(dim_raw)
     if rank < 1:
         raise ParseError("--n must be at least 1")
-    _check_cap("--n", rank, formats.MAX_RANK)
+    check_cap("--n", rank, MAX_RANK)
     if len(dims) != rank or any(x < 0 for x in dims):
         raise ParseError(
             f"--dim must list {rank} nonnegative integers, got {dim_raw!r}"
         )
-    _check_cap("--dim total", sum(dims), formats.MAX_TOTAL_DIM)
+    check_cap("--dim total", sum(dims), MAX_TOTAL_DIM)
     diagram = dg.hasse(rank, dims)
     if args.annotated:
         diagram = annotate(diagram)
@@ -142,8 +136,8 @@ def cmd_scan(args):
     max_n, max_dim = args.max_n, args.max_dim
     if max_n < 1 or max_dim < 1:
         raise ParseError("--max-n and --max-dim must be at least 1")
-    _check_cap("--max-n", max_n, formats.MAX_RANK)
-    _check_cap("--max-dim", max_dim, formats.MAX_TOTAL_DIM)
+    check_cap("--max-n", max_n, MAX_RANK)
+    check_cap("--max-dim", max_dim, MAX_TOTAL_DIM)
     row = "{:>3} {:<12} {:>8} {:>7} {:>6} {:>6} {:>6}".format
     lines = [row("n", "dim", "classes", "codim2", "Reg", "A_r", "Unres")]
     totals = [0] * 5

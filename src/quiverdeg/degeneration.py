@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
+from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
 from .windows import (
     Window,
     WindowMultiset,
@@ -189,17 +190,18 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     The move table of _moves is filled first and then walked; it has no dead
     ends, so every step of the walk leads to a class. Every vector of the
     same total shares the table, so a state already filled for one is walked
-    as it stands for the next. Both recurse once per summand; the total is
-    at most 255, one byte per rank for hasse, which bounds that depth too.
+    as it stands for the next. Both recurse once per summand. The rank and
+    the total are checked against the caps of reps first, which bound that
+    depth and every table that _tables builds.
     """
+    check_cap("rank", n, MAX_RANK)
     d = tuple(int(x) for x in d)
     if len(d) != n:
         raise ParseError(f"dimension vector must have length {n}")
     if any(x < 0 for x in d):
         raise ParseError("dimension vector entries must be nonnegative")
     total = sum(d)
-    if total > 255:
-        raise ParseError(f"total dimension {total} exceeds 255, the most a byte holds")
+    check_cap("total dimension", total, MAX_TOTAL_DIM)
     if not total:
         return [WindowMultiset(n, ())]
     t = _tables(n, total)
@@ -273,9 +275,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     unlabelled; singularity.annotate adds the labels. The covers are the
     transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
     Comput. 1, 1972), peeled by _covers off masks over the classes sorted
-    by self-Hom dimension, which grows strictly along a degeneration. Each
-    rank of a class is packed in a byte, so the total is at most 255, as
-    enumerate_nilpotent checks.
+    by self-Hom dimension, which grows strictly along a degeneration.
     """
     d = tuple(int(x) for x in d)
     nodes = enumerate_nilpotent(n, d)

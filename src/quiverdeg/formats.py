@@ -16,13 +16,13 @@ with repeats encoding multiplicity; windows are accepted in any shift and
 emitted canonical and sorted. Serialization is canonical (sorted keys, fixed
 separators) so identical data round-trips byte for byte.
 
-Sizes are capped before anything is built from a file: windows.n at
-MAX_RANK, and the total dimension (every window's length, their sum, the sum
-of a representation's dims) at MAX_TOTAL_DIM. Dense matrices, composite
-ranks and Hom systems grow with these sizes, so an unchecked one-window file
-could exhaust memory. The number of arrows is not capped, so `reps.hom_dim`
-and `reps.ext1_dim` reject a Hom system of more than reps.MAX_HOM_ENTRIES
-(MAX_TOTAL_DIM ** 4) entries themselves.
+Sizes are checked against the caps of `reps` before anything is built from
+a file: windows.n against MAX_RANK, and the total dimension (every window's
+length, their sum, the sum of a representation's dims) against
+MAX_TOTAL_DIM. Dense matrices, composite ranks and Hom systems grow with
+these sizes, so an unchecked one-window file could exhaust memory. The
+number of arrows is not capped, so `reps.hom_dim` and `reps.ext1_dim` check
+the size of the Hom system themselves.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from typing import Any
 
 from .errors import ParseError
 from .linalg import RatMatrix, format_rational, parse_rational
-from .reps import Arrow, Quiver, Representation
+from .reps import MAX_RANK, MAX_TOTAL_DIM, Arrow, Quiver, Representation, check_cap
 from .windows import WindowMultiset, realize
-
-MAX_RANK = 40
-MAX_TOTAL_DIM = 40
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -121,10 +118,7 @@ def rep_from_obj(obj: dict) -> Representation:
         raise ParseError("dims: expected a list of nonnegative integers")
     if len(dims_obj) != quiver.vertex_count:
         raise ParseError(f"dims: expected {quiver.vertex_count} entries, one per vertex")
-    if sum(dims_obj) > MAX_TOTAL_DIM:
-        raise ParseError(
-            f"dims: total dimension {sum(dims_obj)} exceeds the cap of {MAX_TOTAL_DIM}"
-        )
+    check_cap("dims: total dimension", sum(dims_obj), MAX_TOTAL_DIM)
     matrices_obj = _require(obj, "matrices", "representation")
     if not isinstance(matrices_obj, dict):
         raise ParseError("matrices: expected an object keyed by arrow id")
@@ -163,8 +157,7 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
     n = _require(obj, "n", "windows")
     if not _is_int(n) or n < 1:
         raise ParseError("windows.n: expected a positive integer")
-    if n > MAX_RANK:
-        raise ParseError(f"windows.n: {n} exceeds the cap of {MAX_RANK}")
+    check_cap("windows.n:", n, MAX_RANK)
     wins = _require(obj, "windows", "windows")
     if not isinstance(wins, list):
         raise ParseError("windows.windows: expected a list")

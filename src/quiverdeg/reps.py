@@ -84,8 +84,17 @@ class Representation(namedtuple("Representation", "quiver dims matrices")):
         return f"Representation(dims={self.dims})"
 
 
-# formats.MAX_TOTAL_DIM ** 4, repeated here because formats imports this module.
-MAX_HOM_ENTRIES = 40**4
+# The size caps of the whole library, declared here because every module that
+# checks one (formats, degeneration, cli) imports this one.
+MAX_RANK = 40
+MAX_TOTAL_DIM = 40
+MAX_HOM_ENTRIES = MAX_TOTAL_DIM**4
+
+
+def check_cap(field: str, value: int, cap: int) -> None:
+    """Reject a size above its cap before anything is built from it."""
+    if value > cap:
+        raise ParseError(f"{field} {value} exceeds the cap of {cap}")
 
 
 def _check_hom_pair(v: Representation, w: Representation) -> None:
@@ -96,10 +105,7 @@ def _check_hom_pair(v: Representation, w: Representation) -> None:
     dv, dw = v.dims, w.dims
     equations = sum(dw[a.target - 1] * dv[a.source - 1] for a in v.quiver.arrows)
     entries = equations * sum(x * y for x, y in zip(dv, dw))
-    if entries > MAX_HOM_ENTRIES:
-        raise ParseError(
-            f"Hom system entries {entries} exceeds the cap of {MAX_HOM_ENTRIES}"
-        )
+    check_cap("Hom system entries", entries, MAX_HOM_ENTRIES)
 
 
 def _hom_system(v: Representation, w: Representation) -> RatMatrix:

@@ -11,7 +11,8 @@ suite. References are matched by name: a function by any read of its name,
 a method only by an attribute access `x.name`, and not by `self.name` inside
 a class with no method of that name (that reads the class's own field).
 No decorator exempts a definition: the CLI commands are reached by name
-from its parser.
+from its parser. The size caps are assigned only in reps.py, and only
+reps.check_cap formats a cap message.
 """
 
 import ast
@@ -24,7 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "quiverdeg"
-TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+SOURCES = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+TREES = {name: ast.parse(source) for name, source in SOURCES.items()}
 ACCEPTANCE = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
 
 
@@ -296,4 +298,65 @@ def test_convention_gate_flags_a_hand_written_class():
     assert unconventional_classes(trees) == [
         "linalg.py: RatMatrix",
         "linalg.py: RatMatrix.__eq__",
+    ]
+
+
+CAPS = {"MAX_RANK", "MAX_TOTAL_DIM", "MAX_HOM_ENTRIES"}
+
+
+def size_policy_breaches(sources) -> list[str]:
+    """Size caps assigned outside reps.py, and cap messages outside check_cap.
+
+    Every `<field> <value> exceeds the cap of <cap>` message comes from
+    reps.check_cap. Only the two windows.windows messages of formats, whose
+    wording has another shape, keep the phrase inline.
+    """
+    breaches = []
+    inline = 0
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        breaches.extend(
+            f"{name}:{node.lineno}: assigns {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)
+            and node.id in CAPS
+            and name != "reps.py"
+        )
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "exceeds the cap of" not in line:
+                continue
+            owner = max(
+                (f for f in functions if f.lineno <= lineno <= f.end_lineno),
+                key=lambda f: f.lineno,
+                default=None,
+            )
+            where = (name, getattr(owner, "name", None))
+            if where == ("formats.py", "windows_from_obj") and "windows.windows" in line:
+                inline += 1
+            elif where != ("reps.py", "check_cap"):
+                breaches.append(f"{name}:{lineno}: cap message outside check_cap")
+    if inline != 2:
+        breaches.append(f"formats.py: {inline} inline windows.windows cap messages")
+    return breaches
+
+
+def test_size_caps_are_declared_once_and_checked_by_one_helper():
+    breaches = size_policy_breaches(SOURCES)
+    assert not breaches, breaches
+
+
+def test_size_policy_gate_flags_a_second_declaration_and_check():
+    # formats' caps and cli._check_cap as they stood before both moved to reps.
+    formats = SOURCES["formats.py"] + "MAX_RANK = 40\n"
+    cli = SOURCES["cli.py"] + (
+        "def _check_cap(field, value, cap):\n"
+        "    if value > cap:\n"
+        '        raise ParseError(f"{field} {value} exceeds the cap of {cap}")\n'
+    )
+    sources = dict(SOURCES, **{"formats.py": formats, "cli.py": cli})
+    assert size_policy_breaches(sources) == [
+        f"cli.py:{len(cli.splitlines())}: cap message outside check_cap",
+        f"formats.py:{len(formats.splitlines())}: assigns MAX_RANK",
     ]

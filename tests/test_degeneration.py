@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -485,23 +486,21 @@ def test_peeled_covers_are_the_naive_covers(rows):
 
 
 def test_hasse_edges_are_the_naive_covers():
-    # The last three sit at the byte limit of the packed rank keys: the rank
-    # at (1, 0) is 255, 254 and 253, with 1, 4 and 14 classes. Their classes
-    # have up to 255 summands, so each class's self-Hom is summed once
-    # (codim sums two per pair, 255^2 window Homs each).
+    # The last three sit at the total dimension cap: the rank at (1, 0) is
+    # 40, 39 and 38, the largest a packed rank key holds for any caller,
+    # with 1, 4 and 14 classes of up to 40 summands.
     cases = [
         (n, dims)
         for n in (1, 2, 3)
         for total in range(1, 6)
         for dims in _compositions(n, total)
     ]
-    for n, dims in cases + [(2, (255, 0)), (2, (254, 1)), (2, (253, 2))]:
+    for n, dims in cases + [(2, (40, 0)), (2, (39, 1)), (2, (38, 2))]:
         nodes = enumerate_nilpotent(n, dims)
         k = range(len(nodes))
         below = [[a != b and degenerates(nodes[a], nodes[b]) for b in k] for a in k]
-        self_hom = [multiset_hom_dim(x, x) for x in nodes]
         covers = [
-            (a, b, self_hom[b] - self_hom[a])
+            (a, b, codim(nodes[a], nodes[b]))
             for a in k
             for b in k
             if below[a][b] and not any(below[a][c] and below[c][b] for c in k)
@@ -542,15 +541,32 @@ def test_hasse_codims_equal_codim():
             assert e.codim == codim(nodes[e.upper], nodes[e.lower]), (n, d, e)
 
 
-def test_hasse_rejects_a_total_past_one_byte_per_rank():
-    with pytest.raises(ParseError, match="total dimension 256 exceeds 255"):
-        hasse(2, (128, 128))
-    # enumerate_nilpotent holds the check, and it also bounds the depth of its
-    # recursion: 2,000 summands raised RecursionError before.
-    for total in (256, 2000):
-        with pytest.raises(ParseError, match=f"total dimension {total} exceeds 255"):
-            enumerate_nilpotent(2, (total, 0))
-    assert enumerate_nilpotent(2, (255, 0)) == [WindowMultiset(2, [(1, 1)] * 255)]
+def test_library_calls_past_a_size_cap_raise_before_any_table_is_built():
+    # enumerate_nilpotent holds the CLI's caps for every caller, hasse
+    # through it. Past them, _tables would build 109 MB of rank rows for
+    # (40, (255, 0, ...)) and 43.5 MB for (200, (40, 0, ...)), and 2,000
+    # summands would recurse past Python's limit.
+    past = [
+        (40, (255,) + (0,) * 39, "total dimension 255"),
+        (200, (40,) + (0,) * 199, "rank 200"),
+        (2, (2000, 0), "total dimension 2000"),
+        (2, (41, 0), "total dimension 41"),
+        (41, (1,) * 41, "rank 41"),
+    ]
+    for build in (enumerate_nilpotent, hasse):
+        for n, d, field in past:
+            before = _tables.cache_info()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError) as caught:
+                    build(n, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(caught.value) == f"{field} exceeds the cap of 40"
+            assert _tables.cache_info() == before, (build, n)
+            assert peak < 1_000_000, (build, n, peak)
+    assert enumerate_nilpotent(2, (40, 0)) == [WindowMultiset(2, [(1, 1)] * 40)]
 
 
 def test_codim2_pairs_equal_the_mask_search():
@@ -614,10 +630,9 @@ def test_shared_tables_do_not_change_an_answer():
 def test_rank_rows_are_the_packed_rank_tables():
     # _tables builds each window's row off the previous window's; the oracle
     # packs multiset_ranks of the window alone. (40, 40) is the widest key
-    # within the CLI caps; totals of 255 are the byte limit, which a rank of
-    # [1, 255] in (1, 255) reaches.
+    # within the caps.
     keys = [(n, total) for n in range(1, 6) for total in range(13)]
-    for n, total in keys + [(40, 40), (2, 255), (1, 255)]:
+    for n, total in keys + [(40, 40)]:
         t = _tables.__wrapped__(n, total)
         assert t.ranks == [
             packed_ranks(WindowMultiset(n, [w]), total) for w in t.windows
@@ -626,9 +641,9 @@ def test_rank_rows_are_the_packed_rank_tables():
 
 def test_rank_rows_within_the_cli_caps_stay_under_3_mb():
     # _tables packs rank rows for every window of its key, also for callers
-    # that never read them. At the widest key the CLI admits that is 1,600
+    # that never read them. At the widest key the caps admit that is 1,600
     # rows and 2,143,480 bytes; a change to the row layout or to the caps
-    # must not grow it unseen. Library callers may reach totals of 255.
+    # must not grow it unseen.
     t = _tables.__wrapped__(MAX_RANK, MAX_TOTAL_DIM)
     assert len(t.ranks) == MAX_RANK * MAX_TOTAL_DIM
     assert sum((row.bit_length() + 7) // 8 for row in t.ranks) < 3_000_000
