@@ -131,7 +131,9 @@ def cmd_scan(args):
     For each rank n <= max-n and every dimension vector with total dimension
     <= max-dim, all ordered comparable pairs of nilpotent classes with
     codimension exactly 2 are classified. The verdict should always be Reg
-    or A_r; any Unresolved pair is listed explicitly.
+    or A_r; any Unresolved pair is listed explicitly. The rotations of the
+    cycle preserve every row, so each row is computed once per rotation
+    orbit and shared by the orbit's other vectors.
     """
     max_n, max_dim = args.max_n, args.max_dim
     if max_n < 1 or max_dim < 1:
@@ -142,17 +144,10 @@ def cmd_scan(args):
     lines = [row("n", "dim", "classes", "codim2", "Reg", "A_r", "Unres")]
     totals = [0] * 5
     unresolved = []
-    for n, d, classes, pairs in scan_rows(max_n, max_dim):
-        kinds = [verdict.kind for _, _, verdict in pairs]
-        unres = [
-            f"  n={n}  {m!r} -> {nn!r}"
-            for m, nn, verdict in pairs
-            if verdict.kind not in ("Reg", "A")
-        ]
-        counts = (classes, len(pairs), kinds.count("Reg"), kinds.count("A"), len(unres))
-        totals = [x + y for x, y in zip(totals, counts)]
-        lines.append(row(n, "(" + ",".join(map(str, d)) + ")", *counts))
-        unresolved += unres
+    for n, d, classes, counts, pairs in scan_rows(max_n, max_dim):
+        totals = [x + y for x, y in zip(totals, (classes, *counts))]
+        lines.append(row(n, "(" + ",".join(map(str, d)) + ")", classes, *counts))
+        unresolved += (f"  n={n}  {m!r} -> {nn!r}" for m, nn in pairs)
     lines.append(row("", "TOTAL", *totals))
     lines += ["unresolved pairs:", *unresolved] if unresolved else ["no unresolved pairs"]
     lines.append("no C-type labels emitted")

@@ -17,6 +17,7 @@ compare the rank order against.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -182,6 +183,28 @@ def _tables(n: int, total: int) -> _Tables:
     )
 
 
+def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, ...]:
+    """d as a tuple of n nonnegative integers within the caps of reps.
+
+    Each entry must be an integer (operator.index): a float or a string is
+    rejected rather than rounded or parsed. The rank is checked first and
+    the total last, each against its cap.
+    """
+    check_cap("rank", n, MAX_RANK)
+    entries = []
+    for x in d:
+        try:
+            entries.append(operator.index(x))
+        except TypeError:
+            raise ParseError(f"dimension vector entry {x!r} is not an integer") from None
+    if len(entries) != n:
+        raise ParseError(f"dimension vector must have length {n}")
+    if any(x < 0 for x in entries):
+        raise ParseError("dimension vector entries must be nonnegative")
+    check_cap("total dimension", sum(entries), MAX_TOTAL_DIM)
+    return tuple(entries)
+
+
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     """All window multisets with dimension vector d, in lexicographic order of
     their (i, j) lists: windows come in (i, j) order, each class takes
@@ -194,14 +217,8 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     the total are checked against the caps of reps first, which bound that
     depth and every table that _tables builds.
     """
-    check_cap("rank", n, MAX_RANK)
-    d = tuple(int(x) for x in d)
-    if len(d) != n:
-        raise ParseError(f"dimension vector must have length {n}")
-    if any(x < 0 for x in d):
-        raise ParseError("dimension vector entries must be nonnegative")
+    d = _dim_vector(n, d)
     total = sum(d)
-    check_cap("total dimension", total, MAX_TOTAL_DIM)
     if not total:
         return [WindowMultiset(n, ())]
     t = _tables(n, total)
@@ -277,7 +294,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     Comput. 1, 1972), peeled by _covers off masks over the classes sorted
     by self-Hom dimension, which grows strictly along a degeneration.
     """
-    d = tuple(int(x) for x in d)
+    d = _dim_vector(n, d)
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
     # A composite's rank adds over summands, so a class's rank key sums its

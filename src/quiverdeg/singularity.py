@@ -18,12 +18,13 @@ recording further quotient steps.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs, hasse
 from .linalg import parse_rational
-from .windows import WindowMultiset, residue
+from .windows import Window, WindowMultiset, residue
 
 
 class SingularityType(NamedTuple):
@@ -280,24 +281,87 @@ def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> Singular
     return verdict
 
 
+def _scan_row(memo: dict, n: int, d: tuple[int, ...]):
+    """classes, (codim2, Reg, A, Unresolved) counts and the Unresolved pairs of d."""
+    diagram = hasse(n, d)
+    nodes, pairs = diagram.nodes, codim2_pairs(diagram)
+    kinds = {"Reg": 0, "A": 0, "Unresolved": 0}
+    unresolved = []
+    for a, b in pairs:
+        kind = _memo_verdict(memo, nodes[a], nodes[b]).kind
+        kinds[kind] += 1
+        if kind == "Unresolved":
+            unresolved.append((nodes[a], nodes[b]))
+    return len(nodes), (len(pairs), *kinds.values()), tuple(unresolved)
+
+
+def _rotate(ms: WindowMultiset, s: int) -> WindowMultiset:
+    """ms under the rotation v -> v + s of the cycle: [i, j] -> [i + s, j + s]."""
+    n = ms.n
+    return WindowMultiset(n, [Window(n, w.i + s, w.j + s) for w in ms.windows])
+
+
 def scan_rows(max_n: int, max_dim: int):
     """The verdicts on all codim-2 pairs, one row per dimension vector.
 
-    For each rank n <= max_n and dimension vector d of total <= max_dim,
-    yields (n, d, classes, pairs): the number of classes and every ordered
-    pair of classes with codimension exactly 2 as (upper, lower, verdict),
-    in the order (upper, lower) of their node indices. Verdicts are shared
-    across the whole scan by the pair left after cancelling common summands.
+    For each rank n <= max_n and dimension vector d of total <= max_dim, in
+    the order of _dim_vectors, yields (n, d, classes, (codim2, reg, a,
+    unres), unresolved): the number of classes, the number of ordered pairs
+    of classes with codimension exactly 2 and how many of them classify
+    calls Reg, A_r and Unresolved, and a tuple of the Unresolved pairs as
+    (upper, lower) in the order of their node indices. Verdicts are shared across
+    the whole scan by the pair left after cancelling common summands.
+
+    The row is computed once per rotation orbit. The rotation rho_s: v ->
+    v + s is an automorphism of the cycle; on windows it is [i, j] -> [i + s,
+    j + s], and it sends the classes of d to those of d rotated s places. It
+    relabels vertices, so it keeps the rank of every composite (read at the
+    rotated vertex) and every Hom dimension: it preserves the degeneration
+    order and codimension and maps the codim-2 pairs of d one to one onto
+    those of rho_s d. classify's verdict commutes with it, move by move:
+
+    - cancel_common(rho M, rho N) = rho cancel_common(M, N), since rho is
+      one to one on windows.
+    - codim is invariant, so the Reg and scope tests agree.
+    - The socle counts of rho M are those of M moved s residues on, and
+      socle_reduce's tests (exceeding, collision) are per residue. So it
+      applies to (rho M, rho N) iff to (M, N), quotients at the residues
+      moved s on, and gives the rotated pair.
+    - top_reduce is socle_reduce on dual, and dual rho_s = rho_-s dual
+      ([i + s, j + s] -> [-j - s, -i - s]), so the same holds for it.
+    - Summand counts, window lengths and the equality of socle and of top
+      residues are invariant, so the terminal test and its lengths (a, b,
+      c) agree.
+
+    By induction on the loop the steps, codims and lengths agree, and so
+    does the verdict; only a trace's residues and relabel shift change. The
+    reflection (dual) is not used: on a dual pair classify tries the top
+    move before the socle move, and no proof that their order leaves the
+    verdict unchanged is written yet.
+
+    Within one total the vectors come lexicographically, so the first vector
+    of each orbit is its smallest rotation. Its row is kept until the total
+    ends, and every later rotation rho_s of it reuses the counts and rotates
+    its Unresolved pairs. They are then sorted by their windows: the node
+    order of rho_s d, since enumerate_nilpotent lists the classes in
+    lexicographic order of their (i, j) lists and no class of one vector is
+    a prefix of another.
     """
     memo: dict = {}
     for n in range(1, max_n + 1):
-        for d in _dim_vectors(n, max_dim):
-            diagram = hasse(n, d)
-            nodes, pairs = diagram.nodes, []
-            for a, b in codim2_pairs(diagram):
-                upper, lower = nodes[a], nodes[b]
-                pairs.append((upper, lower, _memo_verdict(memo, upper, lower)))
-            yield n, d, len(nodes), pairs
+        for _, vectors in groupby(_dim_vectors(n, max_dim), key=sum):
+            rows: dict = {}
+            for d in vectors:
+                # d is its orbit's first vector rotated shift places.
+                first, shift = min((d[k:] + d[:k], k) for k in range(n))
+                if first not in rows:
+                    rows[first] = _scan_row(memo, n, first)
+                classes, counts, unresolved = rows[first]
+                if shift:
+                    unresolved = tuple(sorted(
+                        (_rotate(m, shift), _rotate(nn, shift)) for m, nn in unresolved
+                    ))
+                yield n, d, classes, counts, unresolved
 
 
 def annotate(diagram: HasseDiagram) -> HasseDiagram:

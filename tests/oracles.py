@@ -13,6 +13,8 @@ a graded numbering with the codimension-2 pairs searched off it, to check
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
 move table), the negated rank lists check `hasse`'s packed rank keys, and
 the ranks packed from `multiset_ranks` check the rows `_tables` builds.
+The direct scan, which classifies every pair of every vector, checks the
+rows `scan_rows` shares across each rotation orbit.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from quiverdeg.degeneration import _below_masks, enumerate_nilpotent
+from quiverdeg.degeneration import _below_masks, codim2_pairs, enumerate_nilpotent, hasse
 from quiverdeg.errors import Inconsistent, ParseError
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation
+from quiverdeg.singularity import _dim_vectors, classify
 from quiverdeg.windows import (
     SimpleMultiset,
     Window,
@@ -299,3 +302,21 @@ def codim2_pairs_from_masks(n: int, d: Sequence[int]) -> list[tuple[int, int]]:
             if (below[g] >> h) & 1:
                 pairs.append((order[g], order[h]))
     return pairs
+
+
+def scan_rows_direct(max_n: int, max_dim: int):
+    """scan_rows' rows with no sharing: hasse, codim2_pairs and classify on
+    every pair of every vector, with no verdict memo and no rotation."""
+    for n in range(1, max_n + 1):
+        for d in _dim_vectors(n, max_dim):
+            diagram = hasse(n, d)
+            nodes = diagram.nodes
+            kinds = {"Reg": 0, "A": 0, "Unresolved": 0}
+            unresolved = []
+            pairs = codim2_pairs(diagram)
+            for a, b in pairs:
+                kind = classify(nodes[a], nodes[b])[0].kind
+                kinds[kind] += 1
+                if kind == "Unresolved":
+                    unresolved.append((nodes[a], nodes[b]))
+            yield n, d, len(nodes), (len(pairs), *kinds.values()), tuple(unresolved)

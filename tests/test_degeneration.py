@@ -212,6 +212,25 @@ def test_enumerate_negative_entry_rejected():
         enumerate_nilpotent(2, (1, -1))
 
 
+def test_dimension_vector_entries_must_be_integers():
+    # A float or a string was read with int(): (1.5, 0) gave the classes of
+    # (1, 0), and hasse of (1.9, 0.2) the diagram of (1, 0).
+    for build, n, d, entry in (
+        (enumerate_nilpotent, 2, (1.5, 0), "1.5"),
+        (hasse, 2, (1.9, 0.2), "1.9"),
+        (enumerate_nilpotent, 1, ("3",), "'3'"),
+        (hasse, 2, (1, "0"), "'0'"),
+    ):
+        with pytest.raises(ParseError) as caught:
+            build(n, d)
+        assert str(caught.value) == f"dimension vector entry {entry} is not an integer"
+    # Integers in any sequence still give the classes of their tuple.
+    assert enumerate_nilpotent(3, [2, 1, 0]) == enumerate_reference(3, (2, 1, 0))
+    assert enumerate_nilpotent(2, iter((1, 1))) == enumerate_nilpotent(2, (1, 1))
+    assert hasse(2, [2, 1]) == hasse(2, (2, 1))
+    assert hasse(2, [2, 1]).dim == (2, 1)
+
+
 def test_enumerate_nilpotent_equals_the_reference_search():
     vectors = [
         (n, d)

@@ -79,6 +79,11 @@ CLI_GOLDENS = {
     # stored window index and skip tables.
     "scan --max-n 2 --max-dim 16": (
         "34c2a273ef2e1fb26c574bb69dcb1938c87385b97054da55a92de0ca951e6eec", 30),
+    # The only scan pin with rank-5 rotations in its Unresolved listing (140
+    # pairs, 45 at n = 5), recorded before scan shared one row across each
+    # rotation orbit and rotated the first vector's Unresolved pairs.
+    "scan --max-n 5 --max-dim 8": (
+        "7017653de25a442f647ac093464cb42726ee9756b26efe30e6d84244d0be4cbf", 30),
 }
 
 
