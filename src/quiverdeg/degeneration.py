@@ -17,12 +17,11 @@ compare the rank order against.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
-from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
+from .reps import MAX_RANK, MAX_TOTAL_DIM, as_int, check_cap
 from .windows import (
     Window,
     WindowMultiset,
@@ -94,9 +93,10 @@ def _moves(needs, total, guards, state, moves) -> bool:
     so a window that does not fit has no longer window with the same start
     that fits: the loop jumps to the first window with the next start.
 
-    Vectors are packed as in _Tables, and the remaining vector keeps every
-    guard bit set: subtracting a window's vector borrows a guard iff an entry
-    goes below 0, and the difference is zero iff it equals guards.
+    Vectors are bytes as in _Tables, and the remaining vector keeps every
+    guard bit 0x80 set: an entry is at most MAX_TOTAL_DIM = 40 < 128, so
+    subtracting a window's vector clears a guard iff an entry goes below 0,
+    and the difference is zero iff it equals guards.
     """
     steps = moves.get(state)
     if steps is None:
@@ -129,27 +129,21 @@ def _walk(n, windows, guards, moves, state, chosen, results) -> None:
         chosen.pop()
 
 
-def _pack(vector, bits: int) -> int:
-    """vector as one integer, entry v shifted left by bits * v."""
-    return sum(x << bits * v for v, x in enumerate(vector))
-
-
 class _Tables(NamedTuple):
     """What every dimension vector of rank n and one total shares.
 
     windows lists the windows of rank n and length at most total, in (i, j)
-    order, so [i, j] sits at (i - 1) * total + j - i. Dimension vectors are
-    packed by _pack with fields of bits = total.bit_length() + 1 bits, the
-    top bit of each a guard: needs[c] is the packed vector of windows[c], and
-    guards has every guard bit set. moves is the table of _moves; a state
-    (c, remaining) has the same completions whichever vector reached it.
-    ranks[c] is multiset_ranks of windows[c] with total steps as one integer:
-    byte (v - 1) * (total + 1) + t is the rank of the composite of t arrows
-    from v.
+    order, so [i, j] sits at (i - 1) * total + j - i. Every table holds one
+    value per byte, little-endian: no entry exceeds MAX_TOTAL_DIM = 40 < 128.
+    needs[c] is the dimension vector of windows[c], byte v - 1 its entry at
+    v, and guards has the top bit 0x80 of each of those n bytes set. moves
+    is the table of _moves; a state (c, remaining) has the same completions
+    whichever vector reached it. ranks[c] is multiset_ranks of windows[c]
+    with total steps: byte (v - 1) * (total + 1) + t is the rank of the
+    composite of t arrows from v.
     """
 
     windows: tuple[Window, ...]
-    bits: int
     guards: int
     needs: list[int]
     moves: dict
@@ -163,7 +157,6 @@ def _tables(n: int, total: int) -> _Tables:
     Callers that visit the vectors of one total together (scan does) build
     them once, and memory stays bounded to one total's tables.
     """
-    bits = total.bit_length() + 1
     windows, needs, ranks = [], [], []
     for i in range(1, n + 1):
         need = rank = run = 0
@@ -173,30 +166,23 @@ def _tables(n: int, total: int) -> _Tables:
             # has one 0x01 byte per such composite, in that residue's row.
             row = (j - 1) % n
             run = run << 8 | 1
-            need += 1 << bits * row
+            need += 1 << 8 * row
             rank += run << 8 * (total + 1) * row
             windows.append(Window(n, i, j))
             needs.append(need)
             ranks.append(rank)
-    return _Tables(
-        tuple(windows), bits, _pack([1 << (bits - 1)] * n, bits), needs, {}, ranks
-    )
+    guards = int.from_bytes(b"\x80" * n, "little")
+    return _Tables(tuple(windows), guards, needs, {}, ranks)
 
 
 def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, ...]:
     """d as a tuple of n nonnegative integers within the caps of reps.
 
-    Each entry must be an integer (operator.index): a float or a string is
-    rejected rather than rounded or parsed. The rank is checked first and
-    the total last, each against its cap.
+    Each entry goes through reps.as_int, so a float or a string is rejected.
+    The rank is checked first and the total last, each against its cap.
     """
     check_cap("rank", n, MAX_RANK)
-    entries = []
-    for x in d:
-        try:
-            entries.append(operator.index(x))
-        except TypeError:
-            raise ParseError(f"dimension vector entry {x!r} is not an integer") from None
+    entries = [as_int("dimension vector entry", x) for x in d]
     if len(entries) != n:
         raise ParseError(f"dimension vector must have length {n}")
     if any(x < 0 for x in entries):
@@ -222,7 +208,7 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     if not total:
         return [WindowMultiset(n, ())]
     t = _tables(n, total)
-    start = (0, t.guards + _pack(d, t.bits))
+    start = (0, t.guards + int.from_bytes(bytes(d), "little"))
     _moves(t.needs, total, t.guards, start, t.moves)
     results: list[WindowMultiset] = []
     _walk(n, t.windows, t.guards, t.moves, start, [], results)
@@ -244,11 +230,12 @@ class HasseDiagram(NamedTuple):
 
 
 def _below_masks(profiles) -> list[int]:
-    """bit b set in mask[a] iff profiles[a] <= profiles[b] componentwise.
+    """bit b set in mask[a] iff profiles[a] >= profiles[b] componentwise.
 
-    Built one profile coordinate at a time: at_least[v] is the bitset of the
-    nodes whose entry there is at least v, and each mask keeps the nodes in
-    at_least of its own entry.
+    Built one profile coordinate at a time: at_most[v] is the bitset of the
+    nodes whose entry there is at most v, and each mask keeps the nodes in
+    at_most of its own entry. A coordinate with one value for every node is
+    skipped.
     """
     masks = [(1 << len(profiles)) - 1] * len(profiles)
     for column in zip(*profiles):
@@ -257,12 +244,12 @@ def _below_masks(profiles) -> list[int]:
         exact: dict[int, int] = {}
         for b, v in enumerate(column):
             exact[v] = exact.get(v, 0) | (1 << b)
-        at_least, acc = {}, 0
-        for v in sorted(exact, reverse=True):
+        at_most, acc = {}, 0
+        for v in sorted(exact):
             acc |= exact[v]
-            at_least[v] = acc
+            at_most[v] = acc
         for b, v in enumerate(column):
-            masks[b] &= at_least[v]
+            masks[b] &= at_most[v]
     return masks
 
 
@@ -292,31 +279,32 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     unlabelled; singularity.annotate adds the labels. The covers are the
     transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
     Comput. 1, 1972), peeled by _covers off masks over the classes sorted
-    by self-Hom dimension, which grows strictly along a degeneration.
+    by self-Hom dimension, which grows strictly along a degeneration. A
+    class's key is its rank table, so mask[a] holds the classes whose ranks
+    a dominates.
     """
     d = _dim_vector(n, d)
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
-    # A composite's rank adds over summands, so a class's rank key sums its
-    # windows' packed ranks.
-    ranks = _tables(n, total).ranks
-    # Byte (v - 1) * (total + 1) + l of a key is 255 minus the class's rank
-    # at the composite of l arrows from v; no rank exceeds total, so no sum
-    # carries. Hom out of a window is a kernel: a morphism from [i, j] is
-    # fixed by where its top vector goes, any vector at the residue v of j
-    # that the composite of j - i + 1 <= total arrows from v kills. So
+    # A composite's rank adds over summands, so a class's key, its rank
+    # table, sums its windows' rows: byte (v - 1) * (total + 1) + l is the
+    # rank of the composite of l arrows from v, and no rank exceeds total,
+    # so no sum carries. Hom out of a window is a kernel: a morphism from
+    # [i, j] is fixed by where its top vector goes, any vector at the residue
+    # v of j that the composite of j - i + 1 <= total arrows from v kills. So
     # hom([i, j], X) = rank_X(v, 0) - rank_X(v, j - i + 1), two bytes of row v.
+    ranks = _tables(n, total).ranks
     stride = total + 1
     width = n * stride
-    ceiling = (1 << 8 * width) - 1
     self_hom, keys = [], []
     for node in nodes:
         ids = [(i - 1) * total + j - i for _, i, j in node.windows]
-        key = (ceiling - sum(map(ranks.__getitem__, ids))).to_bytes(width, "little")
-        self_hom.append(sum(
-            key[(j - 1) % n * stride + j - i + 1] - key[(j - 1) % n * stride]
-            for _, i, j in node.windows
-        ))
+        key = sum(map(ranks.__getitem__, ids)).to_bytes(width, "little")
+        hom = 0
+        for _, i, j in node.windows:
+            r = (j - 1) % n * stride
+            hom += key[r] - key[r + j - i + 1]
+        self_hom.append(hom)
         keys.append(key)
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     below = _below_masks([keys[e] for e in order])

@@ -173,16 +173,9 @@ def windows_from_obj(obj: dict) -> WindowMultiset:
         if w[0] > w[1]:
             raise ParseError(f"windows.windows[{idx}]: i > j")
         length = w[1] - w[0] + 1
-        if length > MAX_TOTAL_DIM:
-            raise ParseError(
-                f"windows.windows[{idx}]: length {length} exceeds the cap of "
-                f"{MAX_TOTAL_DIM} on the total dimension"
-            )
+        check_cap(f"windows.windows[{idx}]: length", length, MAX_TOTAL_DIM)
         total += length
-        if total > MAX_TOTAL_DIM:
-            raise ParseError(
-                f"windows.windows: total dimension exceeds the cap of {MAX_TOTAL_DIM}"
-            )
+        check_cap("windows.windows: total dimension", total, MAX_TOTAL_DIM)
         pairs.append((w[0], w[1]))
     return WindowMultiset(n, pairs)
 

@@ -9,6 +9,7 @@ path algebras are hereditary.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -56,7 +57,7 @@ class Representation(namedtuple("Representation", "quiver dims matrices")):
     def __new__(
         cls, quiver: Quiver, dims: Sequence[int], matrices: Sequence[RatMatrix]
     ) -> "Representation":
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_int("dimension", d) for d in dims)
         if len(dims) != quiver.vertex_count:
             raise ParseError(
                 f"expected {quiver.vertex_count} dimensions, got {len(dims)}"
@@ -95,6 +96,14 @@ def check_cap(field: str, value: int, cap: int) -> None:
     """Reject a size above its cap before anything is built from it."""
     if value > cap:
         raise ParseError(f"{field} {value} exceeds the cap of {cap}")
+
+
+def as_int(field: str, value) -> int:
+    """value as an int (operator.index), never a truncated float or a parsed string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParseError(f"{field} {value!r} is not an integer") from None
 
 
 def _check_hom_pair(v: Representation, w: Representation) -> None:
@@ -164,9 +173,11 @@ def euler_form(quiver: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
         raise ParseError(
             f"dimension vectors must have length {quiver.vertex_count}"
         )
-    value = sum(int(a) * int(b) for a, b in zip(d, e))
+    d = [as_int("dimension vector entry", x) for x in d]
+    e = [as_int("dimension vector entry", x) for x in e]
+    value = sum(a * b for a, b in zip(d, e))
     for arrow in quiver.arrows:
-        value -= int(d[arrow.source - 1]) * int(e[arrow.target - 1])
+        value -= d[arrow.source - 1] * e[arrow.target - 1]
     return value
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotNilpotent, ParseError
 from .linalg import RatMatrix
-from .reps import Arrow, Quiver, Representation
+from .reps import Arrow, Quiver, Representation, as_int
 
 
 def residue(value: int, n: int) -> int:
@@ -54,6 +54,8 @@ class Window(namedtuple("Window", "n i j")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, i: int, j: int) -> "Window":
+        n = as_int("cyclic rank", n)
+        i, j = as_int("window endpoint", i), as_int("window endpoint", j)
         if n < 1:
             raise ParseError("cyclic rank must be at least 1")
         if i > j:
@@ -76,7 +78,7 @@ class SimpleMultiset(namedtuple("SimpleMultiset", "n counts")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, counts: Sequence[int]) -> "SimpleMultiset":
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(as_int("multiplicity", c) for c in counts)
         if len(counts) != n:
             raise ParseError(f"expected {n} residue counts, got {len(counts)}")
         if any(c < 0 for c in counts):
@@ -101,6 +103,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, windows: Iterable = ()) -> "WindowMultiset":
+        n = as_int("cyclic rank", n)
         if n < 1:
             raise ParseError("cyclic rank must be at least 1")
         items: list[Window] = []
@@ -111,7 +114,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
                 items.append(w)
             else:
                 i, j = w
-                items.append(Window(n, int(i), int(j)))
+                items.append(Window(n, i, j))
         # Every window has rank n, so tuple order is (i, j) order.
         items.sort()
         return tuple.__new__(cls, (n, tuple(items)))

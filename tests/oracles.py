@@ -11,7 +11,7 @@ top and radical read directly off the window ends, to check `top_reduce`
 a graded numbering with the codimension-2 pairs searched off it, to check
 `degeneration.codim2_pairs` (read off the Hasse covers) by. The plain
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
-move table), the negated rank lists check `hasse`'s packed rank keys, and
+move table), the rank lists check `hasse`'s rank keys, and
 the ranks packed from `multiset_ranks` check the rows `_tables` builds.
 The direct scan, which classifies every pair of every vector, checks the
 rows `scan_rows` shares across each rotation orbit.
@@ -216,8 +216,8 @@ def top_reduce(m: WindowMultiset, nn: WindowMultiset):
 
 
 def rank_key(ms: WindowMultiset, total: int) -> list[int]:
-    """Negated composite ranks: the order is componentwise <= on these keys."""
-    return [-r for row in multiset_ranks(ms, total) for r in row]
+    """Composite ranks: the order is componentwise >= on these keys."""
+    return [r for row in multiset_ranks(ms, total) for r in row]
 
 
 def packed_ranks(ms: WindowMultiset, total: int) -> int:

@@ -525,7 +525,7 @@ def nothing_allocates(monkeypatch):
         ({"n": 1, "windows": [[1, 100_000_000]]},
          "windows.windows[0]: length 100000000 exceeds the cap of 40"),
         ({"n": 2, "windows": [[1, 20], [2, 22]]},
-         "windows.windows: total dimension exceeds the cap of 40"),
+         "windows.windows: total dimension 41 exceeds the cap of 40"),
         ({"n": 10**9, "windows": [[1, 1]]}, "windows.n: 1000000000 exceeds the cap of 40"),
     ],
     ids=["window-length", "total-dimension", "rank"],

@@ -308,11 +308,9 @@ def size_policy_breaches(sources) -> list[str]:
     """Size caps assigned outside reps.py, and cap messages outside check_cap.
 
     Every `<field> <value> exceeds the cap of <cap>` message comes from
-    reps.check_cap. Only the two windows.windows messages of formats, whose
-    wording has another shape, keep the phrase inline.
+    reps.check_cap.
     """
     breaches = []
-    inline = 0
     for name, source in sorted(sources.items()):
         tree = ast.parse(source)
         breaches.extend(
@@ -332,13 +330,8 @@ def size_policy_breaches(sources) -> list[str]:
                 key=lambda f: f.lineno,
                 default=None,
             )
-            where = (name, getattr(owner, "name", None))
-            if where == ("formats.py", "windows_from_obj") and "windows.windows" in line:
-                inline += 1
-            elif where != ("reps.py", "check_cap"):
+            if (name, getattr(owner, "name", None)) != ("reps.py", "check_cap"):
                 breaches.append(f"{name}:{lineno}: cap message outside check_cap")
-    if inline != 2:
-        breaches.append(f"formats.py: {inline} inline windows.windows cap messages")
     return breaches
 
 
@@ -348,8 +341,17 @@ def test_size_caps_are_declared_once_and_checked_by_one_helper():
 
 
 def test_size_policy_gate_flags_a_second_declaration_and_check():
-    # formats' caps and cli._check_cap as they stood before both moved to reps.
-    formats = SOURCES["formats.py"] + "MAX_RANK = 40\n"
+    # formats' caps, one of its inline windows.windows messages and
+    # cli._check_cap as they stood before all moved to reps.
+    check = '        check_cap("windows.windows: total dimension", total, MAX_TOTAL_DIM)\n'
+    inline = (
+        "        if total > MAX_TOTAL_DIM:\n"
+        '            raise ParseError(f"windows.windows: total dimension exceeds '
+        'the cap of {MAX_TOTAL_DIM}")\n'
+    )
+    assert SOURCES["formats.py"].count(check) == 1
+    formats = SOURCES["formats.py"].replace(check, inline) + "MAX_RANK = 40\n"
+    inline_line = formats.splitlines().index(inline.splitlines()[1]) + 1
     cli = SOURCES["cli.py"] + (
         "def _check_cap(field, value, cap):\n"
         "    if value > cap:\n"
@@ -359,4 +361,5 @@ def test_size_policy_gate_flags_a_second_declaration_and_check():
     assert size_policy_breaches(sources) == [
         f"cli.py:{len(cli.splitlines())}: cap message outside check_cap",
         f"formats.py:{len(formats.splitlines())}: assigns MAX_RANK",
+        f"formats.py:{inline_line}: cap message outside check_cap",
     ]

@@ -285,7 +285,10 @@ def test_rank_order_equals_hom_order_exhaustively():
             for dims in _compositions(n, total):
                 nodes, _, order, below = graded_masks(n, dims)
                 ts = ProbeSet.up_to(n, total)
-                hom_order = _below_masks([hom_profile(nodes[e], ts) for e in order])
+                # rank_a >= rank_b iff hom_a <= hom_b: negate the Hom profiles.
+                hom_order = _below_masks(
+                    [[-h for h in hom_profile(nodes[e], ts)] for e in order]
+                )
                 assert below == hom_order, (n, dims)
                 pairs += len(nodes) ** 2
     assert pairs == 113_355
@@ -467,15 +470,15 @@ def test_below_masks_match_componentwise_order(rows):
         sum(
             1 << b
             for b, other in enumerate(rows)
-            if all(x <= y for x, y in zip(row, other))
+            if all(x >= y for x, y in zip(row, other))
         )
         for row in rows
     ]
     assert _below_masks(rows) == expected
 
 
-# Distinct rows: a row strictly below another in the componentwise order has
-# a strictly smaller sum, so sorting by the sum gives a graded numbering, and
+# Distinct rows: a row strictly below another in the order >= has a strictly
+# smaller sum, so sorting by the sum descending gives a graded numbering, and
 # small entries make equal sums common.
 _distinct_rows = st.integers(1, 4).flatmap(
     lambda width: st.lists(
@@ -490,23 +493,23 @@ _distinct_rows = st.integers(1, 4).flatmap(
 @example([(0, 0), (0, 1), (1, 0), (1, 1)])
 @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)])
 def test_peeled_covers_are_the_naive_covers(rows):
-    rows = sorted(rows, key=sum)
+    rows = sorted(rows, key=sum, reverse=True)
     k = range(len(rows))
-    le = [[all(x <= y for x, y in zip(rows[a], rows[b])) for b in k] for a in k]
+    ge = [[all(x >= y for x, y in zip(rows[a], rows[b])) for b in k] for a in k]
     naive = [
         (a, b)
         for a in k
         for b in k
         if a != b
-        and le[a][b]
-        and not any(c not in (a, b) and le[a][c] and le[c][b] for c in k)
+        and ge[a][b]
+        and not any(c not in (a, b) and ge[a][c] and ge[c][b] for c in k)
     ]
     assert list(_covers(_below_masks(rows))) == naive
 
 
 def test_hasse_edges_are_the_naive_covers():
     # The last three sit at the total dimension cap: the rank at (1, 0) is
-    # 40, 39 and 38, the largest a packed rank key holds for any caller,
+    # 40, 39 and 38, the largest a rank key byte holds for any caller,
     # with 1, 4 and 14 classes of up to 40 summands.
     cases = [
         (n, dims)
@@ -666,6 +669,17 @@ def test_rank_rows_within_the_cli_caps_stay_under_3_mb():
     t = _tables.__wrapped__(MAX_RANK, MAX_TOTAL_DIM)
     assert len(t.ranks) == MAX_RANK * MAX_TOTAL_DIM
     assert sum((row.bit_length() + 7) // 8 for row in t.ranks) < 3_000_000
+
+
+def test_vectors_at_the_caps_stay_below_their_guard_bits():
+    # _tables holds a vector one byte per vertex under a 0x80 guard, which
+    # works because no entry exceeds MAX_TOTAL_DIM = 40 < 0x80. The largest
+    # entry is 40 at rank 1 (a window of length 40) and 1 at the widest rank.
+    assert MAX_TOTAL_DIM < 0x80
+    for n, top in ((1, MAX_TOTAL_DIM), (MAX_RANK, 1)):
+        t = _tables.__wrapped__(n, MAX_TOTAL_DIM)
+        assert t.guards == int.from_bytes(b"\x80" * n, "little")
+        assert max(max(need.to_bytes(n, "little")) for need in t.needs) == top
 
 
 def test_degeneration_imports_neither_the_classifier_nor_a_pool():

@@ -107,6 +107,24 @@ def test_euler_form_values():
         euler_form(cyc3, (1, 1), (1, 1, 1))
 
 
+# Both read their integers with int(): the dims (1.7,) became (1,), which
+# the 1 x 1 matrix then fit, and euler_form took (1.5,) for (1,).
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Representation(LOOP, (1.7,), (zero_matrix(1, 1),)),
+         "dimension 1.7 is not an integer"),
+        (lambda: euler_form(LOOP, (1.5,), (1,)),
+         "dimension vector entry 1.5 is not an integer"),
+    ],
+    ids=["representation-dims", "euler-form"],
+)
+def test_integer_inputs_reject_non_integers(build, message):
+    with pytest.raises(ParseError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_euler_form_matches_hom_minus_ext(rng):
     for n in (1, 2, 3):
         for _ in range(6):

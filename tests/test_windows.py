@@ -98,9 +98,9 @@ def test_named_tuples_block_tuple_arithmetic():
 
 
 def test_window_order_is_ij_order():
-    # The shared window list of each (rank, total), and its packed vectors
-    # (built one residue at a time) against the oracle's vectors.
-    from quiverdeg.degeneration import _pack, _tables
+    # The shared window list of each (rank, total), and its vectors (one
+    # byte per residue, built one residue at a time) against the oracle's.
+    from quiverdeg.degeneration import _tables
 
     seen = 0
     for n in (1, 2, 3):
@@ -113,9 +113,30 @@ def test_window_order_is_ij_order():
             total = sum(dims)
             assert all(windows[(w.i - 1) * total + w.j - w.i] == w for w in windows)
             vectors = [window_dim_vector(w) for w in windows]
-            assert t.needs == [_pack(v, t.bits) for v in vectors]
+            assert t.needs == [int.from_bytes(bytes(v), "little") for v in vectors]
             seen += sum(all(map(int.__le__, v, dims)) for v in vectors)
     assert seen == 511
+
+
+# Each constructor read its integers with int() or not at all: Window(2,
+# 1.5, 2.7) stored the floats, and degenerates on it ended in a TypeError;
+# WindowMultiset(2.5) stored its rank; the others truncated 2.5 to 2,
+# (1.5, 2.7) to (1, 2) and 1.9 to 1.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Window(2, 1.5, 2.7), "window endpoint 1.5 is not an integer"),
+        (lambda: Window(2.5, 1, 2), "cyclic rank 2.5 is not an integer"),
+        (lambda: WindowMultiset(2, [(1.5, 2.7)]), "window endpoint 1.5 is not an integer"),
+        (lambda: WindowMultiset(2.5), "cyclic rank 2.5 is not an integer"),
+        (lambda: SimpleMultiset(2, (1.9, 0)), "multiplicity 1.9 is not an integer"),
+    ],
+    ids=["window-endpoints", "window-rank", "multiset-window", "multiset-rank", "simple-counts"],
+)
+def test_constructors_reject_non_integers(build, message):
+    with pytest.raises(ParseError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_simple_multiset_repr():
