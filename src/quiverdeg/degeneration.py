@@ -4,8 +4,8 @@ For nilpotent representations of the cyclic quiver the degeneration order
 is the rank order on arrow composites (G. Kempken, Bonner Math. Schriften
 137, 1982): M degenerates to N (same dimension vector) iff, for every
 vertex v and length t, the composite of t arrow maps starting at v has rank
-at least as large in M as in N. windows.multiset_ranks gives those ranks in
-closed form on windows, n * (total + 1) of them per class, with no matrices.
+at least as large in M as in N. windows.rank_key packs those ranks in closed
+form on windows, n * (total + 1) of them per class, with no matrices.
 Codimension of a degeneration is the difference of self-Hom dimensions.
 
 The Hom order (Bongartz, Adv. Math. 121, 1996; Zwara, Compositio Math. 121,
@@ -26,7 +26,7 @@ from .windows import (
     Window,
     WindowMultiset,
     multiset_hom_dim,
-    multiset_ranks,
+    rank_key,
     window_hom_dim,
 )
 
@@ -62,17 +62,21 @@ def hom_profile(ms: WindowMultiset, ts: TestSet) -> tuple[int, ...]:
 def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
     """True iff m degenerates to nn: same dimension vector, dominating ranks.
 
-    The rank order (Kempken 1982; see the module docstring): every composite
-    of arrow maps has rank in m at least its rank in nn. Column t = 0 of a
-    rank table is the dimension vector.
+    The rank order (Kempken 1982; see the module docstring) on keys built
+    alone, not off _tables, whose one cached total a lone class would evict.
+    guards has 0x80 in each byte. A rank is at most total <= 40 < 128, so
+    byte by byte the subtraction gives 0x80 + a - b, never borrows, and
+    keeps the guard iff a >= b. Bytes t = 0 hold the dimension vectors:
+    entries no smaller in m with equal totals are equal.
     """
     if m.n != nn.n:
         raise ParseError("multisets have different ranks")
     total = m.total_dim()
-    upper, lower = multiset_ranks(m, total), multiset_ranks(nn, total)
-    if any(a[0] != b[0] for a, b in zip(upper, lower)):
+    check_cap("total dimension", total, MAX_TOTAL_DIM)
+    if total != nn.total_dim():
         return False
-    return all(x >= y for a, b in zip(upper, lower) for x, y in zip(a, b))
+    guards = int.from_bytes(b"\x80" * (m.n * (total + 1)), "little")
+    return ((rank_key(m, total) | guards) - rank_key(nn, total)) & guards == guards
 
 
 def codim(m: WindowMultiset, nn: WindowMultiset) -> int:
@@ -138,9 +142,8 @@ class _Tables(NamedTuple):
     needs[c] is the dimension vector of windows[c], byte v - 1 its entry at
     v, and guards has the top bit 0x80 of each of those n bytes set. moves
     is the table of _moves; a state (c, remaining) has the same completions
-    whichever vector reached it. ranks[c] is multiset_ranks of windows[c]
-    with total steps: byte (v - 1) * (total + 1) + t is the rank of the
-    composite of t arrows from v.
+    whichever vector reached it. ranks[c] is rank_key of windows[c] alone
+    with total steps.
     """
 
     windows: tuple[Window, ...]
@@ -157,20 +160,15 @@ def _tables(n: int, total: int) -> _Tables:
     Callers that visit the vectors of one total together (scan does) build
     them once, and memory stays bounded to one total's tables.
     """
-    windows, needs, ranks = [], [], []
+    windows, needs = [], []
     for i in range(1, n + 1):
-        need = rank = run = 0
+        need = 0
         for j in range(i, i + total):
-            # [i, j] is [i, j - 1] plus one basis vector at the residue of j,
-            # which the composites of 0..j - i arrows from there keep: run
-            # has one 0x01 byte per such composite, in that residue's row.
-            row = (j - 1) % n
-            run = run << 8 | 1
-            need += 1 << 8 * row
-            rank += run << 8 * (total + 1) * row
+            # [i, j] is [i, j - 1] plus one basis vector at the residue of j.
+            need += 1 << 8 * ((j - 1) % n)
             windows.append(Window(n, i, j))
             needs.append(need)
-            ranks.append(rank)
+    ranks = [rank_key(WindowMultiset(n, [w]), total) for w in windows]
     guards = int.from_bytes(b"\x80" * n, "little")
     return _Tables(tuple(windows), guards, needs, {}, ranks)
 
@@ -286,13 +284,11 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     d = _dim_vector(n, d)
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
-    # A composite's rank adds over summands, so a class's key, its rank
-    # table, sums its windows' rows: byte (v - 1) * (total + 1) + l is the
-    # rank of the composite of l arrows from v, and no rank exceeds total,
-    # so no sum carries. Hom out of a window is a kernel: a morphism from
-    # [i, j] is fixed by where its top vector goes, any vector at the residue
-    # v of j that the composite of j - i + 1 <= total arrows from v kills. So
-    # hom([i, j], X) = rank_X(v, 0) - rank_X(v, j - i + 1), two bytes of row v.
+    # A composite's rank adds over summands, so a class's key, its rank_key,
+    # sums its windows' rows; no rank exceeds total, so no sum carries. A
+    # morphism out of [i, j] is fixed by where its top vector goes: any vector
+    # at the residue v of j that the composite of j - i + 1 <= total arrows
+    # from v kills. So hom([i, j], X) = rank_X(v, 0) - rank_X(v, j - i + 1).
     ranks = _tables(n, total).ranks
     stride = total + 1
     width = n * stride

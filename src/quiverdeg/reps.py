@@ -33,8 +33,8 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, vertex_count: int, arrows: Sequence[Arrow]) -> "Quiver":
-        if vertex_count < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not isinstance(vertex_count, int) or vertex_count < 0:
+            raise ValueError(f"vertex count {vertex_count!r} is not a nonnegative integer")
         arrows = tuple(arrows)
         seen = set()
         for a in arrows:

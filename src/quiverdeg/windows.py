@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotNilpotent, ParseError
 from .linalg import RatMatrix
-from .reps import Arrow, Quiver, Representation, as_int
+from .reps import MAX_TOTAL_DIM, Arrow, Quiver, Representation, as_int, check_cap
 
 
 def residue(value: int, n: int) -> int:
@@ -165,6 +165,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
 
 def cyclic_quiver(n: int) -> Quiver:
     """The rank-n cyclic quiver: arrow a<v> from vertex v to v-1 (1 wraps to n)."""
+    n = as_int("cyclic rank", n)
     if n < 1:
         raise ParseError("cyclic rank must be at least 1")
     arrows = tuple(
@@ -239,23 +240,23 @@ def _composite_ranks(rep: Representation, steps: int) -> list[list[int]]:
     return ranks
 
 
-def multiset_ranks(ms: WindowMultiset, steps: int) -> list[list[int]]:
-    """Closed form of _composite_ranks(realize(ms), steps), with no matrices.
+def rank_key(ms: WindowMultiset, steps: int) -> int:
+    """Closed form of _composite_ranks(realize(ms), steps), one rank per byte.
 
-    The composite of t arrow maps starting at vertex v sends the basis vector
-    of index l (l = v mod n) in a window [i, j] to that of l - t, or to zero
-    when l - t < i. So the window adds #{l in [i+t, j] : l = v (mod n)} to
-    ranks[v-1][t]: each index l counts once for every t <= l - i.
+    Byte (v - 1) * (steps + 1) + t is the rank of the composite of t arrow
+    maps from v. It sends index l = v (mod n) of a window [i, j] to l - t,
+    or to zero when l - t < i, so l adds a run of 0x01 bytes, t = 0 ..
+    min(l - i, steps), to its residue's row. A byte is at most the total,
+    which every caller caps at MAX_TOTAL_DIM = 40, so none carries.
     """
-    n = ms.n
-    ranks = [[0] * (steps + 1) for _ in range(n)]
-    for w in ms.windows:
-        for height in range(w.length):
-            ranks[(w.i + height - 1) % n][min(height, steps)] += 1
-    for row in ranks:
-        for t in range(steps - 1, -1, -1):
-            row[t] += row[t + 1]
-    return ranks
+    key = 0
+    for _, i, j in ms.windows:
+        run = 0
+        for l in range(i, j + 1):
+            if l - i <= steps:
+                run = run << 8 | 1
+            key += run << 8 * (steps + 1) * ((l - 1) % ms.n)
+    return key
 
 
 def is_nilpotent(rep: Representation) -> bool:
@@ -277,9 +278,10 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
     is the classical Jordan block count r_{L-1} - 2 r_L + r_{L+1}.
     """
     n = require_cyclic(rep.quiver)
+    total = rep.total_dim()
+    check_cap("total dimension", total, MAX_TOTAL_DIM)
     if not is_nilpotent(rep):
         raise NotNilpotent("the representation is not nilpotent")
-    total = rep.total_dim()
     ranks = _composite_ranks(rep, total + 1)
     entries: list[Window] = []
     for jr in range(1, n + 1):
@@ -298,7 +300,8 @@ def decompose_nilpotent(rep: Representation) -> WindowMultiset:
             if mult:
                 entries.extend([Window(n, jr - length + 1, jr)] * mult)
     ms = WindowMultiset(n, entries)
-    if multiset_ranks(ms, total + 1) != ranks:
+    packed = int.from_bytes(bytes(r for row in ranks for r in row), "little")
+    if rank_key(ms, total + 1) != packed:
         raise Inconsistent("decomposition does not match the composite ranks")
     return ms
 

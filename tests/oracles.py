@@ -11,8 +11,10 @@ top and radical read directly off the window ends, to check `top_reduce`
 a graded numbering with the codimension-2 pairs searched off it, to check
 `degeneration.codim2_pairs` (read off the Hasse covers) by. The plain
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
-move table), the rank lists check `hasse`'s rank keys, and
-the ranks packed from `multiset_ranks` check the rows `_tables` builds.
+move table). The list form of the composite ranks, `multiset_ranks`, is
+the reference for `windows.rank_key`: flattened, it checks `hasse`'s rank
+keys and `degenerates`, and packed one byte per rank it checks `rank_key`
+itself and the rows `_tables` builds.
 The direct scan, which classifies every pair of every vector, checks the
 rows `scan_rows` shares across each rotation orbit.
 """
@@ -33,7 +35,6 @@ from quiverdeg.windows import (
     Window,
     WindowMultiset,
     multiset_hom_dim,
-    multiset_ranks,
     residue,
 )
 
@@ -215,15 +216,33 @@ def top_reduce(m: WindowMultiset, nn: WindowMultiset):
     return quotient_to_radical(m, residues), quotient_to_radical(nn, residues), residues
 
 
-def rank_key(ms: WindowMultiset, total: int) -> list[int]:
+def multiset_ranks(ms: WindowMultiset, steps: int) -> list[list[int]]:
+    """ranks[v-1][t] = rank of the composite of t arrow maps starting at v.
+
+    The composite sends the basis vector of index l (l = v mod n) in a
+    window [i, j] to that of l - t, or to zero when l - t < i. So the window
+    adds #{l in [i+t, j] : l = v (mod n)} to ranks[v-1][t]: each index l
+    counts once for every t <= l - i.
+    """
+    n = ms.n
+    ranks = [[0] * (steps + 1) for _ in range(n)]
+    for w in ms.windows:
+        for height in range(w.length):
+            ranks[(w.i + height - 1) % n][min(height, steps)] += 1
+    for row in ranks:
+        for t in range(steps - 1, -1, -1):
+            row[t] += row[t + 1]
+    return ranks
+
+
+def flat_ranks(ms: WindowMultiset, total: int) -> list[int]:
     """Composite ranks: the order is componentwise >= on these keys."""
     return [r for row in multiset_ranks(ms, total) for r in row]
 
 
-def packed_ranks(ms: WindowMultiset, total: int) -> int:
-    """multiset_ranks(ms, total) row by row as one integer, one byte per rank."""
-    ranks = bytes(r for row in multiset_ranks(ms, total) for r in row)
-    return int.from_bytes(ranks, "little")
+def pack_ranks(ranks: list[list[int]]) -> int:
+    """A rank table row by row as one integer, one byte per rank, little-endian."""
+    return int.from_bytes(bytes(r for row in ranks for r in row), "little")
 
 
 def _fill(n, candidates, dim_vectors, skip, idx, remaining, chosen, results) -> None:
@@ -282,7 +301,7 @@ def graded_masks(n: int, d: Sequence[int]):
     self_hom = [multiset_hom_dim(node, node) for node in nodes]
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([rank_key(nodes[e], total) for e in order])
+    below = _below_masks([flat_ranks(nodes[e], total) for e in order])
     return nodes, self_hom, order, below
 
 

@@ -510,7 +510,7 @@ def nothing_allocates(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("reached past the size cap")
 
-    monkeypatch.setattr(degeneration, "multiset_ranks", reached)
+    monkeypatch.setattr(degeneration, "rank_key", reached)
     monkeypatch.setattr(degeneration.TestSet, "up_to", classmethod(reached))
     monkeypatch.setattr(degeneration, "enumerate_nilpotent", reached)
     monkeypatch.setattr(formats, "WindowMultiset", reached)

@@ -28,12 +28,11 @@ from quiverdeg.degeneration import (
 )
 from quiverdeg.errors import NotADegeneration, ParseError
 from quiverdeg.formats import MAX_RANK, MAX_TOTAL_DIM
-from quiverdeg.singularity import _compositions, _dim_vectors, annotate
+from quiverdeg.singularity import _compositions, _dim_vectors, annotate, classify
 from quiverdeg.windows import (
     Window,
     WindowMultiset,
     multiset_hom_dim,
-    multiset_ranks,
     residue,
 )
 
@@ -41,9 +40,11 @@ from conftest import random_multiset
 from oracles import (
     codim2_pairs_from_masks,
     enumerate_reference,
+    flat_ranks,
     graded_masks,
     multiset_dim_vector,
-    packed_ranks,
+    multiset_ranks,
+    pack_ranks,
 )
 
 
@@ -162,6 +163,104 @@ def test_degenerates_needs_same_dim_vector():
 def test_degenerates_rank_mismatch():
     with pytest.raises(ParseError, match="multisets have different ranks"):
         degenerates(WindowMultiset(1), WindowMultiset(2))
+
+
+def _rank_order(m, nn, total):
+    """The oracle's order: componentwise >= on the list ranks."""
+    return all(map(int.__ge__, flat_ranks(m, total), flat_ranks(nn, total)))
+
+
+def test_degenerates_is_the_componentwise_rank_order():
+    # degenerates is one guarded subtraction of rank keys. Against the list
+    # ranks: every ordered pair of classes with one vector for n <= 3,
+    # total <= 9, and every pair of distinct vectors of one total, where it
+    # must be False, for n <= 3, total <= 6. Total 0 adds its three empty
+    # pairs to the 217,405 of totals 1 to 9.
+    same = distinct = 0
+    for n in (1, 2, 3):
+        for total in range(10):
+            classes = {d: enumerate_nilpotent(n, d) for d in _compositions(n, total)}
+            ranks = {ms: flat_ranks(ms, total) for c in classes.values() for ms in c}
+            for c in classes.values():
+                for m, nn in itertools.product(c, repeat=2):
+                    expected = all(map(int.__ge__, ranks[m], ranks[nn]))
+                    assert degenerates(m, nn) == expected, (m, nn)
+                    same += 1
+            if total > 6:
+                continue
+            for c, e in itertools.permutations(classes.values(), 2):
+                for m, nn in itertools.product(c, e):
+                    assert not degenerates(m, nn), (m, nn)
+                    distinct += 1
+    assert (same, distinct) == (217_408, 62_542)
+
+
+def _split(rnd, ms):
+    """ms with its longest window cut in two at a random point: a class that
+    ms degenerates to, with the same vector."""
+    *rest, (_, i, j) = sorted(ms.windows, key=lambda w: w.length)
+    k = rnd.randrange(i, j)
+    return WindowMultiset(ms.n, rest + [(i, k), (k + 1, j)])
+
+
+def test_degenerates_at_the_caps():
+    # The largest rank a key holds is 40, at rank 1 and total 40. Fixed
+    # pairs put 40 against 0 in one byte: a window of length 40 against 40
+    # simples (t >= 1), and 40 simples at vertex 1 against 40 at vertex 2
+    # (t = 0). Seeded random pairs with one vector at rank 1 and at rank 40,
+    # each class also against a split of itself, both ways round.
+    simples = [WindowMultiset(2, [(v, v)] * 40) for v in (1, 2)]
+    cases = [
+        (WindowMultiset(1, [(1, 40)]), WindowMultiset(1, [(1, 1)] * 40)),
+        tuple(simples),
+    ]
+    rnd = random.Random(26)
+    for n in (1, MAX_RANK):
+        for _ in range(50):
+            dims = [0] * n
+            for _ in range(MAX_TOTAL_DIM):
+                dims[rnd.randrange(n)] += 1
+            a, b = _random_class(rnd, n, dims), _random_class(rnd, n, dims)
+            if max(w.length for w in a.windows) > 1:
+                cases.append((a, _split(rnd, a)))
+            cases.append((a, b))
+    verdicts = []
+    for a, b in cases:
+        for m, nn in ((a, b), (b, a)):
+            expected = _rank_order(m, nn, MAX_TOTAL_DIM)
+            assert degenerates(m, nn) == expected, (m, nn)
+            verdicts.append(expected)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_degenerates_and_codim_check_the_total_cap():
+    # The keys hold one rank per byte under a 0x80 guard, so a total past
+    # MAX_TOTAL_DIM = 40 is refused before either key is built.
+    big = WindowMultiset(1, [(1, 41)])
+    for call in (degenerates, codim):
+        for nn in (big, WindowMultiset(1, [(1, 1)] * 41)):
+            with pytest.raises(ParseError) as caught:
+                call(big, nn)
+            assert str(caught.value) == "total dimension 41 exceeds the cap of 40"
+    assert not degenerates(WindowMultiset(1, [(1, 40)]), big)
+
+
+def test_lone_classes_leave_the_shared_tables_alone():
+    # _tables keeps one (rank, total) entry, which scan shares across a
+    # total. degenerates, codim and classify build each class's key alone,
+    # so pairs of another total neither hit nor miss that cache.
+    diagram = hasse(3, (2, 2, 1))
+    nodes = diagram.nodes
+    pairs = [(nodes[e.upper], nodes[e.lower]) for e in diagram.edges if e.codim <= 2]
+    pairs += [(nodes[a], nodes[b]) for a, b in codim2_pairs(diagram)]
+    enumerate_nilpotent(3, (2, 2, 2))
+    before = _tables.cache_info()
+    for m, nn in pairs:
+        assert degenerates(m, nn)
+        codim(m, nn)
+        classify(m, nn)
+    assert _tables.cache_info() == before
+    assert len(pairs) > 10
 
 
 def test_codim_known_values():
@@ -650,14 +749,14 @@ def test_shared_tables_do_not_change_an_answer():
 
 
 def test_rank_rows_are_the_packed_rank_tables():
-    # _tables builds each window's row off the previous window's; the oracle
-    # packs multiset_ranks of the window alone. (40, 40) is the widest key
-    # within the caps.
+    # _tables builds each window's row with rank_key; the oracle packs the
+    # list ranks of the window alone. (40, 40) is the widest key within the
+    # caps.
     keys = [(n, total) for n in range(1, 6) for total in range(13)]
     for n, total in keys + [(40, 40)]:
         t = _tables.__wrapped__(n, total)
         assert t.ranks == [
-            packed_ranks(WindowMultiset(n, [w]), total) for w in t.windows
+            pack_ranks(multiset_ranks(WindowMultiset(n, [w]), total)) for w in t.windows
         ], (n, total)
 
 

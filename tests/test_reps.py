@@ -125,6 +125,17 @@ def test_integer_inputs_reject_non_integers(build, message):
     assert str(caught.value) == message
 
 
+def test_quiver_rejects_a_non_integer_vertex_count():
+    # Quiver stored 1.5 as its vertex count. Like its other checks, this one
+    # raises ValueError, which formats.quiver_from_obj turns into a ParseError.
+    for count in (1.5, "2"):
+        with pytest.raises(ValueError, match=f"vertex count {count!r} is not"):
+            Quiver(count, ())
+    with pytest.raises(ValueError, match="vertex count -1 is not a nonnegative integer"):
+        Quiver(-1, ())
+    assert Quiver(0, ()).vertex_count == 0
+
+
 def test_euler_form_matches_hom_minus_ext(rng):
     for n in (1, 2, 3):
         for _ in range(6):

@@ -19,7 +19,7 @@ from quiverdeg.windows import (
     _composite_ranks,
     is_nilpotent,
     multiset_hom_dim,
-    multiset_ranks,
+    rank_key,
     realize,
     reconstruct_from_socle_quotient,
     require_cyclic,
@@ -33,6 +33,7 @@ from oracles import (
     multiset_dim_vector,
     multiset_dual,
     multiset_top,
+    pack_ranks,
     quotient_to_radical,
     rref,
     window_dim_vector,
@@ -121,7 +122,8 @@ def test_window_order_is_ij_order():
 # Each constructor read its integers with int() or not at all: Window(2,
 # 1.5, 2.7) stored the floats, and degenerates on it ended in a TypeError;
 # WindowMultiset(2.5) stored its rank; the others truncated 2.5 to 2,
-# (1.5, 2.7) to (1, 2) and 1.9 to 1.
+# (1.5, 2.7) to (1, 2) and 1.9 to 1. cyclic_quiver(2.5) ended in a
+# TypeError traceback from range.
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -130,8 +132,16 @@ def test_window_order_is_ij_order():
         (lambda: WindowMultiset(2, [(1.5, 2.7)]), "window endpoint 1.5 is not an integer"),
         (lambda: WindowMultiset(2.5), "cyclic rank 2.5 is not an integer"),
         (lambda: SimpleMultiset(2, (1.9, 0)), "multiplicity 1.9 is not an integer"),
+        (lambda: cyclic_quiver(2.5), "cyclic rank 2.5 is not an integer"),
     ],
-    ids=["window-endpoints", "window-rank", "multiset-window", "multiset-rank", "simple-counts"],
+    ids=[
+        "window-endpoints",
+        "window-rank",
+        "multiset-window",
+        "multiset-rank",
+        "simple-counts",
+        "cyclic-quiver",
+    ],
 )
 def test_constructors_reject_non_integers(build, message):
     with pytest.raises(ParseError) as caught:
@@ -247,7 +257,7 @@ def test_closed_form_ranks_match_matrix_ranks(n, seed, steps):
     # Both definitions of composite rank: windows on one side, matrices on
     # the other, for lengths short of and past the longest window.
     ms = random_multiset(random.Random(seed), n, max_entries=4, max_length=6)
-    assert multiset_ranks(ms, steps) == _composite_ranks(realize(ms), steps)
+    assert rank_key(ms, steps) == pack_ranks(_composite_ranks(realize(ms), steps))
 
 
 @st.composite
@@ -292,6 +302,19 @@ def test_single_walk_matches_naive_products(rep, extra):
         assert _composite_ranks(rep, steps) == [
             [m.rank() for m in chain[: steps + 1]] for chain in naive
         ]
+
+
+def test_decompose_checks_the_total_cap():
+    # decompose_nilpotent packs its matrix ranks one per byte to compare them
+    # with rank_key, so a total past MAX_TOTAL_DIM = 40 is refused first.
+    # A non-nilpotent representation of that total is refused the same way.
+    longest = WindowMultiset(1, [(1, 40)])
+    assert decompose_nilpotent(realize(longest)) == longest
+    loop = cyclic_quiver(1)
+    identity = Representation(loop, (41,), (identity_matrix(41),))
+    for rep in (realize(WindowMultiset(1, [(1, 41)])), identity):
+        with pytest.raises(ParseError, match="^total dimension 41 exceeds the cap of 40$"):
+            decompose_nilpotent(rep)
 
 
 def test_decompose_walks_each_chain_to_its_first_zero(monkeypatch):
