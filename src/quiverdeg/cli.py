@@ -43,11 +43,24 @@ def _write_output(text: str, out: str | None = None) -> None:
         raise ParseError(f"{'stdout' if out is None else out}: {exc.strerror or exc}") from exc
 
 
-def _parse_dims(raw: str) -> tuple[int, ...]:
+def _integer(text: str) -> int:
+    """text as an int when, stripped, it is ASCII digits after an optional
+    sign: linalg.parse_rational's policy for files, so no underscores and no
+    other digits. argparse reports an ArgumentTypeError under the flag."""
+    digits = text.strip().lstrip("+-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # two signs, or more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+
+
+def _parse_dims(flag: str, raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad dimension vector {raw!r}: {exc}") from exc
+        return tuple(map(_integer, raw.split(",")))
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"{flag} must be comma-separated integers, got {raw!r}") from None
 
 
 def cmd_hom(args):
@@ -65,7 +78,8 @@ def cmd_ext(args):
 def cmd_euler(args):
     """Euler form of two dimension vectors over the quiver in FILE."""
     q = formats.load_quiver(args.quiver_file)
-    _write_output(f"{euler_form(q, _parse_dims(args.dvec), _parse_dims(args.evec))}\n")
+    d, e = _parse_dims("--d", args.dvec), _parse_dims("--e", args.evec)
+    _write_output(f"{euler_form(q, d, e)}\n")
 
 
 def cmd_decompose(args):
@@ -107,7 +121,7 @@ def cmd_classify(args):
 def cmd_hasse(args):
     """Hasse diagram of the degeneration order for one dimension vector."""
     rank, dim_raw = args.rank, args.dim_raw
-    dims = _parse_dims(dim_raw)
+    dims = _parse_dims("--dim", dim_raw)
     if rank < 1:
         raise ParseError("--n must be at least 1")
     check_cap("--n", rank, MAX_RANK)
@@ -196,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
         "--trace", dest="trace_path", help="write the JSON trace here"
     )
     hasse = command("hasse", cmd_hasse, output=True)
-    hasse.add_argument("--n", dest="rank", metavar="N", type=int, required=True,
+    hasse.add_argument("--n", dest="rank", metavar="N", type=_integer, required=True,
                        help="cyclic rank")
     hasse.add_argument("--dim", dest="dim_raw", metavar="DIMS", required=True,
                        help="comma-separated dimensions")
@@ -208,11 +222,11 @@ def _parser() -> argparse.ArgumentParser:
         "--annotate", dest="annotated", action="store_true", help="label codim 1/2 edges"
     )
     # Annotation is serial; --jobs 1 is still accepted for callers that pass it.
-    hasse.add_argument("--jobs", type=int, choices=[1], help=argparse.SUPPRESS)
+    hasse.add_argument("--jobs", type=_integer, choices=[1], help=argparse.SUPPRESS)
     scan = command("scan", cmd_scan)
-    scan.add_argument("--max-n", type=int, default=3, help="largest rank (default: %(default)s)")
+    scan.add_argument("--max-n", type=_integer, default=3, help="largest rank (default: %(default)s)")
     scan.add_argument(
-        "--max-dim", type=int, default=7, help="largest total dimension (default: %(default)s)"
+        "--max-dim", type=_integer, default=7, help="largest total dimension (default: %(default)s)"
     )
     return parser
 

@@ -17,7 +17,8 @@ compare the rank order against.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, getitem, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import NotADegeneration, ParseError
@@ -173,12 +174,15 @@ def _tables(n: int, total: int) -> _Tables:
     return _Tables(tuple(windows), guards, needs, {}, ranks)
 
 
-def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, ...]:
-    """d as a tuple of n nonnegative integers within the caps of reps.
+def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(n, d) as an int and a tuple of n nonnegative integers within the caps
+    of reps.
 
-    Each entry goes through reps.as_int, so a float or a string is rejected.
-    The rank is checked first and the total last, each against its cap.
+    The rank and each entry go through reps.as_int, so a float or a string is
+    rejected and True reads as 1. The rank is checked first and the total
+    last, each against its cap.
     """
+    n = as_int("rank", n)
     check_cap("rank", n, MAX_RANK)
     entries = [as_int("dimension vector entry", x) for x in d]
     if len(entries) != n:
@@ -186,7 +190,7 @@ def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, ...]:
     if any(x < 0 for x in entries):
         raise ParseError("dimension vector entries must be nonnegative")
     check_cap("total dimension", sum(entries), MAX_TOTAL_DIM)
-    return tuple(entries)
+    return n, tuple(entries)
 
 
 def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
@@ -201,7 +205,7 @@ def enumerate_nilpotent(n: int, d: Sequence[int]) -> list[WindowMultiset]:
     the total are checked against the caps of reps first, which bound that
     depth and every table that _tables builds.
     """
-    d = _dim_vector(n, d)
+    n, d = _dim_vector(n, d)
     total = sum(d)
     if not total:
         return [WindowMultiset(n, ())]
@@ -227,28 +231,44 @@ class HasseDiagram(NamedTuple):
     edges: tuple[HasseEdge, ...]
 
 
-def _below_masks(profiles) -> list[int]:
-    """bit b set in mask[a] iff profiles[a] >= profiles[b] componentwise.
+# _AT_MOST[v] maps the bytes <= v to b"1" and every other byte to b"0", for
+# bytes.translate; a rank key byte is at most MAX_TOTAL_DIM, so v stops there.
+_AT_MOST = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(MAX_TOTAL_DIM + 1)]
 
-    Built one profile coordinate at a time: at_most[v] is the bitset of the
-    nodes whose entry there is at most v, and each mask keeps the nodes in
-    at_most of its own entry. A coordinate with one value for every node is
-    skipped.
+
+def _below_masks(profiles: Sequence[bytes]) -> list[int]:
+    """bit b set in mask[a] iff profiles[a] >= profiles[b] byte by byte.
+
+    The profiles are bytes of one width with every byte at most
+    MAX_TOTAL_DIM, as hasse's rank keys are. Joined in reverse order, column
+    c is the slice [c::width], one byte per node with the last node first,
+    so translating it through _AT_MOST[v] spells in binary the bitset of the
+    nodes whose byte there is at most v. A column with one value for every
+    node is skipped. Each mask is then the AND of one such bitset per
+    varying column, the one of its own byte there, in one pass per node.
     """
-    masks = [(1 << len(profiles)) - 1] * len(profiles)
-    for column in zip(*profiles):
-        if column.count(column[0]) == len(column):
+    if not profiles:
+        return []
+    width = len(profiles[0])
+    joined = b"".join(reversed(profiles))
+    varying, tables = [], []
+    for c in range(width):
+        column = joined[c::width]
+        values = set(column)
+        if len(values) == 1:
             continue
-        exact: dict[int, int] = {}
-        for b, v in enumerate(column):
-            exact[v] = exact.get(v, 0) | (1 << b)
-        at_most, acc = {}, 0
-        for v in sorted(exact):
-            acc |= exact[v]
-            at_most[v] = acc
-        for b, v in enumerate(column):
-            masks[b] &= at_most[v]
-    return masks
+        table = [0] * (max(values) + 1)
+        for v in values:
+            # int(_, 2) runs in linear time, and a power-of-two base is exempt
+            # from the limit on the digits of a str converted to int (4,300).
+            table[v] = int(column.translate(_AT_MOST[v]), 2)
+        varying.append(c)
+        tables.append(table)
+    if not tables:
+        return [(1 << len(profiles)) - 1] * len(profiles)
+    # itemgetter of a single index returns the item itself, not a 1-tuple.
+    pick = itemgetter(*varying) if len(varying) > 1 else lambda key: (key[varying[0]],)
+    return [reduce(and_, map(getitem, tables, pick(key))) for key in profiles]
 
 
 def _covers(below):
@@ -281,7 +301,7 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     class's key is its rank table, so mask[a] holds the classes whose ranks
     a dominates.
     """
-    d = _dim_vector(n, d)
+    n, d = _dim_vector(n, d)
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
     # A composite's rank adds over summands, so a class's key, its rank_key,

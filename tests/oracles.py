@@ -9,7 +9,10 @@ constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
 (the socle move on the dual) by, and the degeneration order as bitsets over
 a graded numbering with the codimension-2 pairs searched off it, to check
-`degeneration.codim2_pairs` (read off the Hasse covers) by. The plain
+`degeneration.codim2_pairs` (read off the Hasse covers) by, and the
+componentwise order of integer rows one coordinate at a time through
+dicts, to check `degeneration._below_masks` (byte columns through
+`bytes.translate`) by. The plain
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
 move table). The list form of the composite ranks, `multiset_ranks`, is
 the reference for `windows.rank_key`: flattened, it checks `hasse`'s rank
@@ -301,8 +304,32 @@ def graded_masks(n: int, d: Sequence[int]):
     self_hom = [multiset_hom_dim(node, node) for node in nodes]
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([flat_ranks(nodes[e], total) for e in order])
+    below = _below_masks([bytes(flat_ranks(nodes[e], total)) for e in order])
     return nodes, self_hom, order, below
+
+
+def below_masks(rows) -> list[int]:
+    """bit b set in mask[a] iff rows[a] >= rows[b] componentwise, for rows of
+    any integers: the reference for degeneration._below_masks.
+
+    Built one coordinate at a time: at_most[v] is the bitset of the rows
+    whose entry there is at most v, and each mask keeps the rows in at_most
+    of its own entry. A coordinate with one value for every row is skipped.
+    """
+    masks = [(1 << len(rows)) - 1] * len(rows)
+    for column in zip(*rows):
+        if column.count(column[0]) == len(column):
+            continue
+        exact: dict[int, int] = {}
+        for b, v in enumerate(column):
+            exact[v] = exact.get(v, 0) | (1 << b)
+        at_most, acc = {}, 0
+        for v in sorted(exact):
+            acc |= exact[v]
+            at_most[v] = acc
+        for b, v in enumerate(column):
+            masks[b] &= at_most[v]
+    return masks
 
 
 def codim2_pairs_from_masks(n: int, d: Sequence[int]) -> list[tuple[int, int]]:

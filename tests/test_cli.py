@@ -707,6 +707,34 @@ def test_usage_errors_exit_2(args):
     assert "usage: quiverdeg" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, last_line",
+    [
+        (["hasse", "--n", "1_0", "--dim", ",".join("1" + "0" * 9)],
+         "quiverdeg hasse: error: argument --n: invalid integer: '1_0'"),
+        (["hasse", "--n", "2", "--dim", "1_0,0"],
+         "error: --dim must be comma-separated integers, got '1_0,0'"),
+        (["hasse", "--n", "1", "--dim", "\u0663"],
+         "error: --dim must be comma-separated integers, got '\u0663'"),
+        (["scan", "--max-n", "1", "--max-dim", "\u0663"],
+         "quiverdeg scan: error: argument --max-dim: invalid integer: '\u0663'"),
+        (["euler", "{quiver}", "--d", "1_0", "--e", "1"],
+         "error: --d must be comma-separated integers, got '1_0'"),
+    ],
+    ids=["n-underscore", "dim-underscore", "dim-arabic-indic", "max-dim-arabic-indic",
+         "euler-d-underscore"],
+)
+def test_integer_flags_take_only_ascii_digits(tmp_path, args, last_line):
+    # The file policy of parse_rational: int() alone would read 1_0 as 10
+    # and the Arabic-Indic digit three as 3.
+    quiver = tmp_path / "q.json"
+    quiver.write_text(json.dumps({"vertex_count": 1, "arrows": []}))
+    result = invoke([arg.format(quiver=quiver) for arg in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == last_line
+
+
 def test_hasse_options_do_not_abbreviate():
     # --d is euler's option; on hasse it must not be taken for --dim.
     result = invoke(["hasse", "--n", "2", "--d", "1,1"])

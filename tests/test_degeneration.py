@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +39,7 @@ from quiverdeg.windows import (
 
 from conftest import random_multiset
 from oracles import (
+    below_masks,
     codim2_pairs_from_masks,
     enumerate_reference,
     flat_ranks,
@@ -385,7 +387,7 @@ def test_rank_order_equals_hom_order_exhaustively():
                 nodes, _, order, below = graded_masks(n, dims)
                 ts = ProbeSet.up_to(n, total)
                 # rank_a >= rank_b iff hom_a <= hom_b: negate the Hom profiles.
-                hom_order = _below_masks(
+                hom_order = below_masks(
                     [[-h for h in hom_profile(nodes[e], ts)] for e in order]
                 )
                 assert below == hom_order, (n, dims)
@@ -547,10 +549,11 @@ def _profile_tables(draw):
     to two columns are then made constant, as the dimension-vector and
     all-zero columns of hasse's rank keys are, which _below_masks skips."""
     width = draw(st.integers(0, 4))
-    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width), max_size=12))
+    row = st.lists(st.integers(0, 3), min_size=width, max_size=width).map(bytes)
+    rows = draw(st.lists(row, max_size=12))
     for value in draw(st.lists(st.integers(0, 3), max_size=2)):
         at = draw(st.integers(0, width))
-        rows = [row[:at] + (value,) + row[at:] for row in rows]
+        rows = [row[:at] + bytes([value]) + row[at:] for row in rows]
         width += 1
     return rows
 
@@ -558,12 +561,12 @@ def _profile_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(_profile_tables())
 @example([])
-@example([()])
-@example([(), (), ()])
-@example([(2, 1)])
-@example([(1, 2), (1, 2), (0, 3), (1, 3)])
-@example([(3, 1, 0), (3, 0, 0), (3, 2, 0)])
-@example([(1, 1), (1, 1)])
+@example([b""])
+@example([b"", b"", b""])
+@example([bytes([2, 1])])
+@example([bytes(r) for r in ((1, 2), (1, 2), (0, 3), (1, 3))])
+@example([bytes(r) for r in ((3, 1, 0), (3, 0, 0), (3, 2, 0))])
+@example([bytes([1, 1]), bytes([1, 1])])
 def test_below_masks_match_componentwise_order(rows):
     expected = [
         sum(
@@ -581,7 +584,9 @@ def test_below_masks_match_componentwise_order(rows):
 # small entries make equal sums common.
 _distinct_rows = st.integers(1, 4).flatmap(
     lambda width: st.lists(
-        st.tuples(*[st.integers(0, 3)] * width), unique=True, max_size=16
+        st.lists(st.integers(0, 3), min_size=width, max_size=width).map(bytes),
+        unique=True,
+        max_size=16,
     )
 )
 
@@ -589,8 +594,8 @@ _distinct_rows = st.integers(1, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(_distinct_rows)
 @example([])
-@example([(0, 0), (0, 1), (1, 0), (1, 1)])
-@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2)])
+@example([bytes(r) for r in ((0, 0), (0, 1), (1, 0), (1, 1))])
+@example([bytes(r) for r in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 2, 2))])
 def test_peeled_covers_are_the_naive_covers(rows):
     rows = sorted(rows, key=sum, reverse=True)
     k = range(len(rows))
@@ -604,6 +609,64 @@ def test_peeled_covers_are_the_naive_covers(rows):
         and not any(c not in (a, b) and ge[a][c] and ge[c][b] for c in k)
     ]
     assert list(_covers(_below_masks(rows))) == naive
+
+
+@st.composite
+def _byte_tables(draw):
+    """Rows of one width 0 to 6 with bytes 0 to 40, the cap a rank key byte
+    reaches, drawn often from the two ends so that ties are common; then
+    duplicate rows, and up to two columns made constant."""
+    width = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(0, 2), st.integers(38, 40), st.integers(0, 40))
+    row = st.lists(entry, min_size=width, max_size=width).map(bytes)
+    rows = draw(st.lists(row, max_size=20))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+        rows = draw(st.permutations(rows))
+    for at in draw(st.lists(st.integers(0, width - 1), max_size=2)) if width else ():
+        value = bytes([draw(entry)])
+        rows = [row[:at] + value + row[at + 1:] for row in rows]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_byte_tables())
+@example([])
+@example([b""])
+@example([bytes([40, 0, 40])])
+@example([bytes([40, 0]), bytes([0, 40]), bytes([40, 40]), bytes([40, 40])])
+def test_below_masks_equal_the_dict_reference(rows):
+    assert _below_masks(rows) == below_masks(rows)
+
+
+def test_below_masks_past_the_str_to_int_digit_limit():
+    # 5,000 rows make each column a 5,000-digit binary string, past the
+    # 4,300-digit limit on str to int conversions; base 2 is exempt.
+    rnd = random.Random(27)
+    rows = [bytes(rnd.choice((0, 1, 2, 39, 40)) for _ in range(5)) + b"\x07"
+            for _ in range(5_000)]
+    assert _below_masks(rows) == below_masks(rows)
+
+
+def test_below_masks_hold_one_mask_list_at_a_time(monkeypatch):
+    # The keys hasse passes for (5,5,5), 2,899 classes: building the masks
+    # column by column would hold two lists of 2,899-bit masks at once, a
+    # traced peak about twice the result; one pass per node stays near the
+    # result's size.
+    passed, kernel = [], degeneration._below_masks
+    monkeypatch.setattr(
+        degeneration, "_below_masks", lambda keys: passed.append(keys) or kernel(keys)
+    )
+    hasse(3, (5, 5, 5))
+    (keys,) = passed
+    tracemalloc.start()
+    try:
+        masks = _below_masks(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(masks) + sum(map(sys.getsizeof, masks))
+    assert peak <= 1.3 * size, (peak, size)
 
 
 def test_hasse_edges_are_the_naive_covers():
@@ -688,6 +751,24 @@ def test_library_calls_past_a_size_cap_raise_before_any_table_is_built():
             assert _tables.cache_info() == before, (build, n)
             assert peak < 1_000_000, (build, n, peak)
     assert enumerate_nilpotent(2, (40, 0)) == [WindowMultiset(2, [(1, 1)] * 40)]
+
+
+@pytest.mark.parametrize(
+    "build, n, d",
+    [(enumerate_nilpotent, 2.0, (1, 1)), (hasse, "2", (1, 1))],
+    ids=["enumerate-float", "hasse-str"],
+)
+def test_library_rank_must_be_an_integer(build, n, d):
+    # The rank goes through reps.as_int like the entries of d, so a float
+    # or a string is a ParseError rather than a TypeError from the tables.
+    with pytest.raises(ParseError, match=f"rank {n!r} is not an integer"):
+        build(n, d)
+
+
+def test_library_rank_true_reads_as_one():
+    diagram = hasse(True, (1,))
+    assert type(diagram.n) is int
+    assert json.dumps(to_json_obj(diagram)).startswith('{"n": 1,')
 
 
 def test_codim2_pairs_equal_the_mask_search():
