@@ -128,7 +128,7 @@ def _walk(n, windows, guards, moves, state, chosen, results) -> None:
     for c, rest in moves[state]:
         chosen.append(windows[c])
         if rest == guards:
-            results.append(WindowMultiset(n, chosen))
+            results.append(WindowMultiset._make((n, tuple(chosen))))
         else:
             _walk(n, windows, guards, moves, (c, rest), chosen, results)
         chosen.pop()

@@ -38,10 +38,9 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
         arrows = tuple(arrows)
         seen = set()
         for a in arrows:
-            if not (1 <= a.source <= vertex_count):
-                raise ValueError(f"arrow {a.name!r} has source {a.source} out of range")
-            if not (1 <= a.target <= vertex_count):
-                raise ValueError(f"arrow {a.name!r} has target {a.target} out of range")
+            for end, v in (("source", a.source), ("target", a.target)):
+                if not isinstance(v, int) or not 1 <= v <= vertex_count:
+                    raise ValueError(f"arrow {a.name!r} has {end} {v!r} out of range")
             if a.name in seen:
                 raise ValueError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)

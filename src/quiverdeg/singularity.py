@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs, hasse
 from .linalg import parse_rational
-from .windows import Window, WindowMultiset, residue
+from .windows import Window, WindowMultiset, _canonical, residue
 
 
 class SingularityType(NamedTuple):
@@ -127,7 +127,8 @@ def cancel_common(
             y += 1
     keep_a.extend(a[x:])
     keep_b.extend(b[y:])
-    return WindowMultiset(m.n, keep_a), WindowMultiset(nn.n, keep_b)
+    make = WindowMultiset._make
+    return make((m.n, tuple(keep_a))), make((nn.n, tuple(keep_b)))
 
 
 def socle_reduce(m: WindowMultiset, nn: WindowMultiset):
@@ -298,7 +299,8 @@ def _scan_row(memo: dict, n: int, d: tuple[int, ...]):
 def _rotate(ms: WindowMultiset, s: int) -> WindowMultiset:
     """ms under the rotation v -> v + s of the cycle: [i, j] -> [i + s, j + s]."""
     n = ms.n
-    return WindowMultiset(n, [Window(n, w.i + s, w.j + s) for w in ms.windows])
+    out = sorted(Window._make(_canonical(n, i + s, j + s)) for _, i, j in ms.windows)
+    return WindowMultiset._make((n, tuple(out)))
 
 
 def scan_rows(max_n: int, max_dim: int):

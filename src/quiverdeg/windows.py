@@ -42,6 +42,12 @@ def _count_congruent(lo: int, hi: int, rem: int, n: int) -> int:
     return (hi - rem) // n - (lo - 1 - rem) // n
 
 
+def _canonical(n: int, i: int, j: int) -> tuple[int, int, int]:
+    """(n, i, j) shifted by the multiple of n that puts i in 1..n; no checks."""
+    shift = residue(i, n) - i
+    return n, i + shift, j + shift
+
+
 class Window(namedtuple("Window", "n i j")):
     """An interval [i, j] naming a uniserial nilpotent class of rank n.
 
@@ -60,8 +66,7 @@ class Window(namedtuple("Window", "n i j")):
             raise ParseError("cyclic rank must be at least 1")
         if i > j:
             raise ParseError(f"window ({i},{j}) has i > j")
-        shift = residue(i, n) - i
-        return tuple.__new__(cls, (n, i + shift, j + shift))
+        return tuple.__new__(cls, _canonical(n, i, j))
 
     @property
     def length(self) -> int:
@@ -78,6 +83,9 @@ class SimpleMultiset(namedtuple("SimpleMultiset", "n counts")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, counts: Sequence[int]) -> "SimpleMultiset":
+        n = as_int("cyclic rank", n)
+        if n < 1:
+            raise ParseError("cyclic rank must be at least 1")
         counts = tuple(as_int("multiplicity", c) for c in counts)
         if len(counts) != n:
             raise ParseError(f"expected {n} residue counts, got {len(counts)}")
@@ -132,7 +140,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
         counts = [0] * self.n
         for w in self.windows:
             counts[w.i - 1] += 1
-        return SimpleMultiset(self.n, counts)
+        return SimpleMultiset._make((self.n, tuple(counts)))
 
     def quotient_by_socle(self, selected_residues: Iterable[int]) -> "WindowMultiset":
         """Quotient by the socle summands at the selected residues.
@@ -144,19 +152,19 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
         present = {w.i for w in self.windows}
         if not sel <= present:
             raise ParseError(f"residues {sorted(sel - present)} not present in socle")
-        out = []
+        n, out = self.n, []
         for w in self.windows:
-            if w.i in sel:
-                if w.length > 1:
-                    out.append(Window(self.n, w.i + 1, w.j))
-            else:
+            if w.i not in sel:
                 out.append(w)
-        return WindowMultiset(self.n, out)
+            elif w.length > 1:
+                out.append(Window._make(_canonical(n, w.i + 1, w.j)))
+        return WindowMultiset._make((n, tuple(sorted(out))))
 
     def dual(self) -> "WindowMultiset":
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
         n = self.n
-        return WindowMultiset(n, [Window(n, -w.j, -w.i) for w in self.windows])
+        out = sorted(Window._make(_canonical(n, -j, -i)) for _, i, j in self.windows)
+        return WindowMultiset._make((n, tuple(out)))
 
     def __repr__(self) -> str:
         inner = ",".join(repr(w) for w in self.windows)

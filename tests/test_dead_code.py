@@ -12,7 +12,8 @@ a method only by an attribute access `x.name`, and not by `self.name` inside
 a class with no method of that name (that reads the class's own field).
 No decorator exempts a definition: the CLI commands are reached by name
 from its parser. The size caps are assigned only in reps.py, and only
-reps.check_cap formats a cap message.
+reps.check_cap formats a cap message. Only the functions of UNCHECKED build
+a named tuple with `_make`, and `tuple.__new__` is read only in a `__new__`.
 """
 
 import ast
@@ -321,18 +322,27 @@ def size_policy_breaches(sources) -> list[str]:
             and node.id in CAPS
             and name != "reps.py"
         )
-        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        functions = _functions(tree)
         for lineno, line in enumerate(source.splitlines(), 1):
             if "exceeds the cap of" not in line:
                 continue
-            owner = max(
-                (f for f in functions if f.lineno <= lineno <= f.end_lineno),
-                key=lambda f: f.lineno,
-                default=None,
-            )
-            if (name, getattr(owner, "name", None)) != ("reps.py", "check_cap"):
+            if (name, _owner(functions, lineno)) != ("reps.py", "check_cap"):
                 breaches.append(f"{name}:{lineno}: cap message outside check_cap")
     return breaches
+
+
+def _functions(tree) -> list:
+    return [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+
+
+def _owner(functions, lineno: int) -> str | None:
+    """Name of the innermost of functions around line lineno, if any."""
+    owner = max(
+        (f for f in functions if f.lineno <= lineno <= f.end_lineno),
+        key=lambda f: f.lineno,
+        default=None,
+    )
+    return getattr(owner, "name", None)
 
 
 def test_size_caps_are_declared_once_and_checked_by_one_helper():
@@ -362,4 +372,60 @@ def test_size_policy_gate_flags_a_second_declaration_and_check():
         f"cli.py:{len(cli.splitlines())}: cap message outside check_cap",
         f"formats.py:{len(formats.splitlines())}: assigns MAX_RANK",
         f"formats.py:{inline_line}: cap message outside check_cap",
+    ]
+
+
+# The functions that build values derived from checked ones with _make,
+# skipping the checks of __new__: each result must equal what the checked
+# constructor returns (test_derived_values_equal_their_checked_construction).
+UNCHECKED = {
+    "degeneration.py": {"_walk"},
+    "singularity.py": {"cancel_common", "_rotate"},
+    "windows.py": {"socle", "quotient_by_socle", "dual"},
+}
+
+
+def unchecked_constructions(sources) -> list[str]:
+    """Reads of `_make` outside the functions of UNCHECKED, and of
+    `tuple.__new__` outside a `__new__` method: both build a named tuple
+    without its checks."""
+    found = []
+    for name, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        functions = _functions(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = _owner(functions, node.lineno)
+            if node.attr == "_make" and owner not in UNCHECKED.get(name, ()):
+                found.append(f"{name}:{node.lineno}: _make in {owner}")
+            elif (
+                node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "tuple"
+                and owner != "__new__"
+            ):
+                found.append(f"{name}:{node.lineno}: tuple.__new__ in {owner}")
+    return found
+
+
+def test_checks_are_skipped_only_on_derived_values():
+    found = unchecked_constructions(SOURCES)
+    assert not found, found
+
+
+def test_unchecked_gate_flags_a_new_site():
+    # reconstruct_from_socle_quotient grows its windows from a quotient the
+    # caller passes in, so its result must go through the checks.
+    checked = "    return WindowMultiset(n, entries)\n"
+    assert SOURCES["windows.py"].count(checked) == 1
+    windows = SOURCES["windows.py"].replace(
+        checked, "    return WindowMultiset._make((n, tuple(sorted(entries))))\n"
+    ) + "def _window(n, i, j):\n    return tuple.__new__(Window, (n, i, j))\n"
+    lines = windows.splitlines()
+    planted = lines.index("    return WindowMultiset._make((n, tuple(sorted(entries))))") + 1
+    sources = dict(SOURCES, **{"windows.py": windows})
+    assert unchecked_constructions(sources) == [
+        f"windows.py:{planted}: _make in reconstruct_from_socle_quotient",
+        f"windows.py:{len(lines)}: tuple.__new__ in _window",
     ]

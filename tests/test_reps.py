@@ -136,6 +136,15 @@ def test_quiver_rejects_a_non_integer_vertex_count():
     assert Quiver(0, ()).vertex_count == 0
 
 
+def test_quiver_rejects_non_integer_arrow_endpoints():
+    # Quiver(2, [Arrow("a", 1.5, 1)]) passed its range check, and
+    # Representation and euler_form on it ended in a TypeError traceback.
+    for arrow, end in ((Arrow("a", 1.5, 1), "source 1.5"), (Arrow("a", 1, "2"), "target '2'")):
+        with pytest.raises(ValueError, match=f"arrow 'a' has {end} out of range"):
+            Quiver(2, [arrow])
+    assert Quiver(2, [Arrow("a", 1, 2)]).arrows == (Arrow("a", 1, 2),)
+
+
 def test_euler_form_matches_hom_minus_ext(rng):
     for n in (1, 2, 3):
         for _ in range(6):

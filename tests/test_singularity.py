@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from quiverdeg.singularity import (
     socle_reduce,
     top_reduce,
 )
-from quiverdeg.windows import WindowMultiset, residue
+from quiverdeg.windows import SimpleMultiset, Window, WindowMultiset, residue
 
 import oracles
 from oracles import multiset_dual
@@ -288,6 +289,62 @@ def test_scan_rows_equal_a_direct_scan(monkeypatch):
     # sharing.
     assert sum(1 for _ in scan_rows(3, 8)) == 216
     assert len(calls) == 88
+
+
+def _assert_checked(x):
+    """x is what the checked constructor builds from its own entries."""
+    if isinstance(x, SimpleMultiset):
+        want = SimpleMultiset(x.n, list(x.counts))
+    else:
+        want = WindowMultiset(x.n, [(w.i, w.j) for w in x.windows])
+        assert all(type(w) is Window for w in x.windows), x
+    assert type(x) is type(want) and x == want and type(x[1]) is tuple, x
+
+
+def _assert_derived_checked(m, shifts):
+    """Every value the unchecked sites derive from m equals its checked form."""
+    socle = m.socle()
+    _assert_checked(socle)
+    _assert_checked(m.dual())
+    residues = sorted(socle.residues())
+    for k in range(1, len(residues) + 1):
+        for chosen in itertools.combinations(residues, k):
+            _assert_checked(m.quotient_by_socle(chosen))
+    for s in shifts:
+        _assert_checked(singularity._rotate(m, s))
+
+
+def test_derived_values_equal_their_checked_construction():
+    # enumerate_nilpotent (its _walk), cancel_common, socle, dual,
+    # quotient_by_socle and _rotate build their results with _make and
+    # skip the checks of __new__; each must still give the checked value.
+    rng = random.Random(28)
+    classes = 0
+    for n in (1, 2, 3):
+        shifts = range(-n, 2 * n + 1)
+        for d in _dim_vectors(n, 8):
+            found = enumerate_nilpotent(n, d)
+            classes += len(found)
+            for m in found:
+                _assert_checked(m)
+                _assert_derived_checked(m, shifts)
+            if sum(d) <= 6:
+                for m, nn in itertools.product(found, repeat=2):
+                    for x in cancel_common(m, nn):
+                        _assert_checked(x)
+    assert classes == 2152
+    for _ in range(50):
+        pairs = []
+        for _ in range(2):
+            lengths = sorted(rng.sample(range(1, 40), rng.randint(0, 6)))
+            lengths = [b - a for a, b in zip([0] + lengths, lengths + [40])]
+            starts = [rng.randint(-80, 80) for _ in lengths]
+            pairs.append([(i, i + k - 1) for i, k in zip(starts, lengths)])
+        m, nn = (WindowMultiset(40, p) for p in pairs)
+        assert m.total_dim() == nn.total_dim() == 40
+        _assert_derived_checked(m, (rng.randint(-100, 100) for _ in range(5)))
+        for x in cancel_common(m, nn) + cancel_common(m, m):
+            _assert_checked(x)
 
 
 def test_classify_duality_invariance():

@@ -123,7 +123,8 @@ def test_window_order_is_ij_order():
 # 1.5, 2.7) stored the floats, and degenerates on it ended in a TypeError;
 # WindowMultiset(2.5) stored its rank; the others truncated 2.5 to 2,
 # (1.5, 2.7) to (1, 2) and 1.9 to 1. cyclic_quiver(2.5) ended in a
-# TypeError traceback from range.
+# TypeError traceback from range. SimpleMultiset(2.0, (1, 0)) stored its
+# rank 2.0, and reconstruct_from_socle_quotient on it ended in a TypeError.
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -132,6 +133,8 @@ def test_window_order_is_ij_order():
         (lambda: WindowMultiset(2, [(1.5, 2.7)]), "window endpoint 1.5 is not an integer"),
         (lambda: WindowMultiset(2.5), "cyclic rank 2.5 is not an integer"),
         (lambda: SimpleMultiset(2, (1.9, 0)), "multiplicity 1.9 is not an integer"),
+        (lambda: SimpleMultiset(2.0, (1, 0)), "cyclic rank 2.0 is not an integer"),
+        (lambda: SimpleMultiset(0, ()), "cyclic rank must be at least 1"),
         (lambda: cyclic_quiver(2.5), "cyclic rank 2.5 is not an integer"),
     ],
     ids=[
@@ -140,6 +143,8 @@ def test_window_order_is_ij_order():
         "multiset-window",
         "multiset-rank",
         "simple-counts",
+        "simple-rank",
+        "simple-rank-zero",
         "cyclic-quiver",
     ],
 )
