@@ -6,7 +6,9 @@ is the rank order on arrow composites (G. Kempken, Bonner Math. Schriften
 vertex v and length t, the composite of t arrow maps starting at v has rank
 at least as large in M as in N. windows.rank_key packs those ranks in closed
 form on windows, n * (total + 1) of them per class, with no matrices.
-Codimension of a degeneration is the difference of self-Hom dimensions.
+Codimension of a degeneration is the difference of self-Hom dimensions, so
+codim2_pairs reads the pairs of codimension 2 straight off the two tests,
+from each self-Hom layer to the one two above; hasse peels the covers.
 
 The Hom order (Bongartz, Adv. Math. 121, 1996; Zwara, Compositio Math. 121,
 2000) decides the same relation: M degenerates to N iff its Hom profile
@@ -289,19 +291,8 @@ def _covers(below):
             rem &= ~below[h]
 
 
-def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
-    """Covering relations of the degeneration order on classes with vector d.
-
-    Edges run from the bigger orbit (upper) to the smaller one, sorted by
-    (upper, lower) in enumeration order, and carry the codimension,
-    unlabelled; singularity.annotate adds the labels. The covers are the
-    transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
-    Comput. 1, 1972), peeled by _covers off masks over the classes sorted
-    by self-Hom dimension, which grows strictly along a degeneration. A
-    class's key is its rank table, so mask[a] holds the classes whose ranks
-    a dominates.
-    """
-    n, d = _dim_vector(n, d)
+def _keyed_classes(n: int, d: tuple[int, ...]):
+    """The classes of d, as _dim_vector reads it, their keys and self-Homs."""
     nodes = enumerate_nilpotent(n, d)
     total = sum(d)
     # A composite's rank adds over summands, so a class's key, its rank_key,
@@ -322,6 +313,23 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
             hom += key[r] - key[r + j - i + 1]
         self_hom.append(hom)
         keys.append(key)
+    return nodes, keys, self_hom
+
+
+def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
+    """Covering relations of the degeneration order on classes with vector d.
+
+    Edges run from the bigger orbit (upper) to the smaller one, sorted by
+    (upper, lower) in enumeration order, and carry the codimension,
+    unlabelled; singularity.annotate adds the labels. The covers are the
+    transitive reduction of the order (Aho, Garey and Ullman, SIAM J.
+    Comput. 1, 1972), peeled by _covers off masks over the classes sorted
+    by self-Hom dimension, which grows strictly along a degeneration. A
+    class's key is its rank table, so mask[a] holds the classes whose ranks
+    a dominates.
+    """
+    n, d = _dim_vector(n, d)
+    nodes, keys, self_hom = _keyed_classes(n, d)
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     below = _below_masks([keys[e] for e in order])
     pairs = sorted((order[g], order[h]) for g, h in _covers(below))
@@ -329,26 +337,31 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     return HasseDiagram(n, d, tuple(nodes), edges)
 
 
-def codim2_pairs(diagram: HasseDiagram) -> list[tuple[int, int]]:
-    """Sorted (upper, lower) node indices of diagram's codimension-2 pairs.
-
-    A proper degeneration has codimension >= 1 and codimension adds along a
-    chain, so a maximal chain of covers from upper to lower is one cover of
-    codimension 2 or two of codimension 1; conversely each of these gives a
-    codimension-2 degeneration. The set merges composites that share their
-    ends through different middle classes.
-    """
-    down: dict[int, list[int]] = {}
-    pairs = set()
-    for e in diagram.edges:
-        if e.codim == 1:
-            down.setdefault(e.upper, []).append(e.lower)
-        elif e.codim == 2:
-            pairs.add((e.upper, e.lower))
-    for upper, middles in down.items():
-        for middle in middles:
-            pairs.update((upper, lower) for lower in down.get(middle, ()))
-    return sorted(pairs)
+def codim2_pairs(n: int, d: Sequence[int]):
+    """The classes of d and the sorted (upper, lower) indices of their pairs
+    of codimension 2: lower's rank key at most upper's byte by byte, and
+    self-Hom two more. Each self-Hom layer h takes _below_masks of its keys
+    followed by those of layer h + 2. Within a layer >= means equal, so an
+    upper class's bits past its own layer are its partners."""
+    n, d = _dim_vector(n, d)
+    nodes, keys, self_hom = _keyed_classes(n, d)
+    layers: dict[int, list[int]] = {}
+    for e, h in enumerate(self_hom):
+        layers.setdefault(h, []).append(e)
+    pairs = []
+    for h, upper in layers.items():
+        lower = layers.get(h + 2)
+        if lower is None:
+            continue
+        masks = _below_masks([keys[e] for e in upper + lower])
+        for a, mask in zip(upper, masks):
+            mask >>= len(upper)
+            while mask:
+                low = mask & -mask
+                pairs.append((a, lower[low.bit_length() - 1]))
+                mask ^= low
+    pairs.sort()
+    return nodes, pairs
 
 
 def _node_label(ms: WindowMultiset) -> str:

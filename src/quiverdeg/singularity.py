@@ -22,8 +22,9 @@ from itertools import groupby
 from typing import NamedTuple, Sequence
 
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
-from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs, hasse
+from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs
 from .linalg import parse_rational
+from .reps import as_int
 from .windows import Window, WindowMultiset, _canonical, residue
 
 
@@ -284,8 +285,7 @@ def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> Singular
 
 def _scan_row(memo: dict, n: int, d: tuple[int, ...]):
     """classes, (codim2, Reg, A, Unresolved) counts and the Unresolved pairs of d."""
-    diagram = hasse(n, d)
-    nodes, pairs = diagram.nodes, codim2_pairs(diagram)
+    nodes, pairs = codim2_pairs(n, d)
     kinds = {"Reg": 0, "A": 0, "Unresolved": 0}
     unresolved = []
     for a, b in pairs:
@@ -309,10 +309,10 @@ def scan_rows(max_n: int, max_dim: int):
     For each rank n <= max_n and dimension vector d of total <= max_dim, in
     the order of _dim_vectors, yields (n, d, classes, (codim2, reg, a,
     unres), unresolved): the number of classes, the number of ordered pairs
-    of classes with codimension exactly 2 and how many of them classify
-    calls Reg, A_r and Unresolved, and a tuple of the Unresolved pairs as
-    (upper, lower) in the order of their node indices. Verdicts are shared across
-    the whole scan by the pair left after cancelling common summands.
+    of classes with codimension exactly 2 (codim2_pairs, with no Hasse
+    diagram) and how many of them classify calls Reg, A_r and Unresolved,
+    and a tuple of the Unresolved pairs as (upper, lower) in node order.
+    Verdicts are shared across the scan by the pair left after cancelling.
 
     The row is computed once per rotation orbit. The rotation rho_s: v ->
     v + s is an automorphism of the cycle; on windows it is [i, j] -> [i + s,
@@ -342,12 +342,12 @@ def scan_rows(max_n: int, max_dim: int):
     verdict unchanged is written yet.
 
     Within one total the vectors come lexicographically, so the first vector
-    of each orbit is its smallest rotation. Its row is kept until the total
-    ends, and every later rotation rho_s of it reuses the counts and rotates
-    its Unresolved pairs. They are then sorted by their windows: the node
-    order of rho_s d, since enumerate_nilpotent lists the classes in
-    lexicographic order of their (i, j) lists and no class of one vector is
-    a prefix of another.
+    of each orbit is its smallest rotation; codim2_pairs and the memo run
+    only there. Its row is kept until the total ends, and every later
+    rotation rho_s of it reuses the counts and rotates its Unresolved
+    pairs. They are then sorted by their windows: the node order of rho_s d,
+    since enumerate_nilpotent lists the classes in lexicographic order of
+    their (i, j) lists and no class of one vector is a prefix of another.
     """
     memo: dict = {}
     for n in range(1, max_n + 1):
@@ -392,6 +392,7 @@ def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:
     kind "A": points (x, y, z) with x^r = y z. kind "C": points
     (x_0, ..., x_r) with x_i x_j = x_l x_m whenever i + j = l + m.
     """
+    r = as_int("model variety index", r)
     if r < 1:
         raise ParseError("model variety index must be at least 1")
     kind = kind.upper()

@@ -116,13 +116,14 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
             raise ParseError("cyclic rank must be at least 1")
         items: list[Window] = []
         for w in windows:
-            if isinstance(w, Window):
-                if w.n != n:
-                    raise ParseError(f"window of rank {w.n} in a rank-{n} multiset")
-                items.append(w)
-            else:
-                i, j = w
-                items.append(Window(n, i, j))
+            if not isinstance(w, Window):
+                try:
+                    w = Window(n, *w)
+                except TypeError:  # w is not an iterable of two endpoints
+                    raise ParseError(f"window entry {w!r} is not a pair (i, j)") from None
+            elif w.n != n:
+                raise ParseError(f"window of rank {w.n} in a rank-{n} multiset")
+            items.append(w)
         # Every window has rank n, so tuple order is (i, j) order.
         items.sort()
         return tuple.__new__(cls, (n, tuple(items)))
@@ -205,27 +206,22 @@ def realize(ms: WindowMultiset) -> Representation:
     out of vertex v sends the vector for index l to the vector for l-1 and
     kills each window's bottom index. All matrices are 0/1 block shifts.
     """
+    check_cap("total dimension", ms.total_dim(), MAX_TOTAL_DIM)
     n = ms.n
-    q = cyclic_quiver(n)
-    counts = [0] * (n + 1)
-    positions: dict[tuple[int, int], int] = {}
-    for idx, w in enumerate(ms.windows):
-        for l in range(w.i, w.j + 1):
-            v = residue(l, n)
-            positions[(idx, l)] = counts[v]
-            counts[v] += 1
-    dims = tuple(counts[1 : n + 1])
-    mats = []
-    for v in range(1, n + 1):
-        tgt = residue(v - 1, n)
-        rows, cols = dims[tgt - 1], dims[v - 1]
-        ent = [0] * (rows * cols)
-        for idx, w in enumerate(ms.windows):
-            for l in range(w.i, w.j + 1):
-                if residue(l, n) == v and l > w.i:
-                    ent[positions[(idx, l - 1)] * cols + positions[(idx, l)]] = 1
-        mats.append(RatMatrix(rows, cols, ent))
-    return Representation(q, dims, mats)
+    dims = [0] * n
+    place = {}  # (summand, index l) -> its place among the vectors at l's vertex
+    for idx, (_, i, j) in enumerate(ms.windows):
+        for l in range(i, j + 1):
+            place[idx, l] = dims[(l - 1) % n]
+            dims[(l - 1) % n] += 1
+    # The arrow out of vertex s + 1 is a dims[s - 1] x dims[s] matrix.
+    ents = [[0] * (dims[s - 1] * dims[s]) for s in range(n)]
+    for idx, (_, i, j) in enumerate(ms.windows):
+        for l in range(i + 1, j + 1):
+            s = (l - 1) % n
+            ents[s][place[idx, l - 1] * dims[s] + place[idx, l]] = 1
+    mats = [RatMatrix(dims[s - 1], dims[s], ent) for s, ent in enumerate(ents)]
+    return Representation(cyclic_quiver(n), dims, mats)
 
 
 def _composite_ranks(rep: Representation, steps: int) -> list[list[int]]:

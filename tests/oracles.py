@@ -9,7 +9,7 @@ constructions whose symmetries Hom, Ext^1 and `classify` must obey, the
 top and radical read directly off the window ends, to check `top_reduce`
 (the socle move on the dual) by, and the degeneration order as bitsets over
 a graded numbering with the codimension-2 pairs searched off it, to check
-`degeneration.codim2_pairs` (read off the Hasse covers) by, and the
+`degeneration.codim2_pairs` (masks within pairs of self-Hom layers) by, and the
 componentwise order of integer rows one coordinate at a time through
 dicts, to check `degeneration._below_masks` (byte columns through
 `bytes.translate`) by. The plain
@@ -18,8 +18,9 @@ move table). The list form of the composite ranks, `multiset_ranks`, is
 the reference for `windows.rank_key`: flattened, it checks `hasse`'s rank
 keys and `degenerates`, and packed one byte per rank it checks `rank_key`
 itself and the rows `_tables` builds.
-The direct scan, which classifies every pair of every vector, checks the
-rows `scan_rows` shares across each rotation orbit.
+The direct scan, which classifies every pair that the mask search finds
+for every vector, checks the rows `scan_rows` shares across each rotation
+orbit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
-from quiverdeg.degeneration import _below_masks, codim2_pairs, enumerate_nilpotent, hasse
+from quiverdeg.degeneration import _below_masks, enumerate_nilpotent
 from quiverdeg.errors import Inconsistent, ParseError
 from quiverdeg.linalg import RatMatrix
 from quiverdeg.reps import Arrow, Quiver, Representation
@@ -351,15 +352,14 @@ def codim2_pairs_from_masks(n: int, d: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def scan_rows_direct(max_n: int, max_dim: int):
-    """scan_rows' rows with no sharing: hasse, codim2_pairs and classify on
-    every pair of every vector, with no verdict memo and no rotation."""
+    """scan_rows' rows with no sharing: codim2_pairs_from_masks and classify
+    on every pair of every vector, with no verdict memo and no rotation."""
     for n in range(1, max_n + 1):
         for d in _dim_vectors(n, max_dim):
-            diagram = hasse(n, d)
-            nodes = diagram.nodes
+            nodes = enumerate_nilpotent(n, d)
             kinds = {"Reg": 0, "A": 0, "Unresolved": 0}
             unresolved = []
-            pairs = codim2_pairs(diagram)
+            pairs = codim2_pairs_from_masks(n, d)
             for a, b in pairs:
                 kind = classify(nodes[a], nodes[b])[0].kind
                 kinds[kind] += 1

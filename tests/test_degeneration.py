@@ -254,7 +254,7 @@ def test_lone_classes_leave_the_shared_tables_alone():
     diagram = hasse(3, (2, 2, 1))
     nodes = diagram.nodes
     pairs = [(nodes[e.upper], nodes[e.lower]) for e in diagram.edges if e.codim <= 2]
-    pairs += [(nodes[a], nodes[b]) for a, b in codim2_pairs(diagram)]
+    pairs += [(nodes[a], nodes[b]) for a, b in codim2_pairs(3, (2, 2, 1))[1]]
     enumerate_nilpotent(3, (2, 2, 2))
     before = _tables.cache_info()
     for m, nn in pairs:
@@ -772,9 +772,10 @@ def test_library_rank_true_reads_as_one():
 
 
 def test_codim2_pairs_equal_the_mask_search():
-    # The covers of codimension 2 plus the composites of two codimension-1
-    # covers, against every pair two self-Hom grades apart that the masks
-    # order. Rank 1 has no composites: its orbit dimensions are all even.
+    # The layer-to-layer finder against every pair two self-Hom grades apart
+    # that the whole-order masks order. Each row's pairs split into the
+    # covers of codimension 2 and the composites of two codimension-1
+    # covers. Rank 1 has no composites: its orbit dimensions are all even.
     vectors = [
         (n, d)
         for n, max_total in ((1, 16), (2, 10), (3, 8), (4, 7))
@@ -783,14 +784,21 @@ def test_codim2_pairs_equal_the_mask_search():
     assert len(vectors) == 574
     counts = {}
     for n, d in vectors + [(3, (5, 5, 5))]:
-        diagram = hasse(n, d)
-        pairs = codim2_pairs(diagram)
+        nodes, pairs = codim2_pairs(n, d)
+        assert nodes == enumerate_nilpotent(n, d), (n, d)
         assert pairs == codim2_pairs_from_masks(n, d), (n, d)
-        covers = sum(e.codim == 2 for e in diagram.edges)
+        covers = sum(e.codim == 2 for e in hasse(n, d).edges)
         counts[n, d] = (covers, len(pairs) - covers)
     assert counts.pop((3, (5, 5, 5))) == (2865, 10209)
     assert sum(c for (n, _), (_, c) in counts.items() if n == 1) == 0
     assert [sum(col) for col in zip(*counts.values())] == [3321, 2931]
+
+
+def test_codim2_pairs_of_8_8_8():
+    # 92,464 classes: whole-order masks would take 1.07 GB, the layers
+    # about 100 MB.
+    nodes, pairs = codim2_pairs(3, (8, 8, 8))
+    assert (len(nodes), len(pairs)) == (92464, 559119)
 
 
 def test_enumerate_nilpotent_leaves_no_reference_cycles():

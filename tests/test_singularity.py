@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdeg import singularity
+from quiverdeg import degeneration, singularity
 from quiverdeg.degeneration import codim, codim2_pairs, degenerates, enumerate_nilpotent, hasse
 from quiverdeg.errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from quiverdeg.singularity import (
@@ -246,9 +246,9 @@ def test_classify_rotation_equivariance():
         for d in _dim_vectors(n, 10):
             if d != min(d[k:] + d[:k] for k in range(n)):
                 continue
-            diagram = hasse(n, d)
-            for a, b in codim2_pairs(diagram):
-                m, nn = diagram.nodes[a], diagram.nodes[b]
+            nodes, pairs = codim2_pairs(n, d)
+            for a, b in pairs:
+                m, nn = nodes[a], nodes[b]
                 result, trace = classify(m, nn)
                 for s in range(1, n):
                     turned, turned_trace = classify(_rotate(m, s), _rotate(nn, s))
@@ -283,12 +283,22 @@ def test_scan_rows_equal_a_direct_scan(monkeypatch):
     assert (sum(len(row[4]) for row in rows), len(rotated)) == (95, 40)
     calls = []
     monkeypatch.setattr(
-        singularity, "hasse", lambda n, d: calls.append(d) or hasse(n, d)
+        singularity, "codim2_pairs", lambda n, d: calls.append(d) or codim2_pairs(n, d)
     )
-    # One hasse per rotation orbit: 216 calls, one per vector, without the
-    # sharing.
+    # One codim2_pairs per rotation orbit: 216 calls, one per vector,
+    # without the sharing.
     assert sum(1 for _ in scan_rows(3, 8)) == 216
     assert len(calls) == 88
+
+
+def test_scan_rows_build_no_hasse_diagram(monkeypatch):
+    # scan reads its pairs layer to layer: no covers, no whole-order masks.
+    def refuse(*args):
+        raise AssertionError("scan_rows built a Hasse diagram")
+
+    for name in ("hasse", "_covers"):
+        monkeypatch.setattr(degeneration, name, refuse)
+    assert sum(1 for _ in scan_rows(3, 8)) == 216
 
 
 def _assert_checked(x):
@@ -436,6 +446,16 @@ def test_model_membership_arity_checks():
         model_variety_membership("B", 2, (1, 1, 1))
     with pytest.raises(ParseError, match="model variety index must be at least 1"):
         model_variety_membership("A", 0, (1, 1, 1))
+
+
+def test_model_membership_index_must_be_an_integer():
+    # 1.5 was used as the exponent in floats, and C's 2.0 ended in a
+    # TypeError from range.
+    for kind, r, point in (("A", 1.5, (4, 8, 1)), ("C", 2.0, (1, 1, 1))):
+        with pytest.raises(ParseError) as caught:
+            model_variety_membership(kind, r, point)
+        assert str(caught.value) == f"model variety index {r!r} is not an integer"
+    assert model_variety_membership("A", True, (2, 1, 2))
 
 
 def test_parametrized_points_lie_on_their_varieties(rng):

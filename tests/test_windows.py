@@ -119,12 +119,14 @@ def test_window_order_is_ij_order():
     assert seen == 511
 
 
-# Each constructor read its integers with int() or not at all: Window(2,
-# 1.5, 2.7) stored the floats, and degenerates on it ended in a TypeError;
-# WindowMultiset(2.5) stored its rank; the others truncated 2.5 to 2,
-# (1.5, 2.7) to (1, 2) and 1.9 to 1. cyclic_quiver(2.5) ended in a
-# TypeError traceback from range. SimpleMultiset(2.0, (1, 0)) stored its
-# rank 2.0, and reconstruct_from_socle_quotient on it ended in a TypeError.
+# WindowMultiset unpacked each non-Window entry as (i, j), so an int ended
+# in a TypeError and a triple in a ValueError. Each constructor read its
+# integers with int() or not at all: Window(2, 1.5, 2.7) stored the floats,
+# and degenerates on it ended in a TypeError; WindowMultiset(2.5) stored its
+# rank; the others truncated 2.5 to 2, (1.5, 2.7) to (1, 2) and 1.9 to 1.
+# cyclic_quiver(2.5) ended in a TypeError traceback from range.
+# SimpleMultiset(2.0, (1, 0)) stored its rank 2.0, and
+# reconstruct_from_socle_quotient on it ended in a TypeError.
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -132,6 +134,8 @@ def test_window_order_is_ij_order():
         (lambda: Window(2.5, 1, 2), "cyclic rank 2.5 is not an integer"),
         (lambda: WindowMultiset(2, [(1.5, 2.7)]), "window endpoint 1.5 is not an integer"),
         (lambda: WindowMultiset(2.5), "cyclic rank 2.5 is not an integer"),
+        (lambda: WindowMultiset(2, [5]), "window entry 5 is not a pair (i, j)"),
+        (lambda: WindowMultiset(2, [(1, 2, 3)]), "window entry (1, 2, 3) is not a pair (i, j)"),
         (lambda: SimpleMultiset(2, (1.9, 0)), "multiplicity 1.9 is not an integer"),
         (lambda: SimpleMultiset(2.0, (1, 0)), "cyclic rank 2.0 is not an integer"),
         (lambda: SimpleMultiset(0, ()), "cyclic rank must be at least 1"),
@@ -142,6 +146,8 @@ def test_window_order_is_ij_order():
         "window-rank",
         "multiset-window",
         "multiset-rank",
+        "multiset-int-entry",
+        "multiset-triple",
         "simple-counts",
         "simple-rank",
         "simple-rank-zero",
@@ -156,11 +162,6 @@ def test_constructors_reject_non_integers(build, message):
 
 def test_simple_multiset_repr():
     assert repr(SimpleMultiset(2, (1, 0))) == "SimpleMultiset(n=2, counts=(1, 0))"
-
-
-def test_three_element_pair_is_rejected():
-    with pytest.raises(ValueError):
-        WindowMultiset(2, [(1, 2, 3)])
 
 
 def test_dim_vector_of_multisets():
@@ -187,6 +188,16 @@ def test_realize_loop_jordan_block():
     rep = realize(WindowMultiset(1, [(1, 2)]))
     (m,) = rep.matrices
     assert m == matrix_from_rows([[0, 1], [0, 0]])
+
+
+def test_realize_checks_the_total_cap():
+    # Past MAX_TOTAL_DIM = 40 realize built the 60 x 60 shift all the same.
+    assert realize(WindowMultiset(1, [(1, 40)])).dims == (40,)
+    for windows in ([(1, 41)], [(1, 60)], [(1, 20), (2, 22)]):
+        with pytest.raises(ParseError) as caught:
+            realize(WindowMultiset(1, windows))
+        total = sum(j - i + 1 for i, j in windows)
+        assert str(caught.value) == f"total dimension {total} exceeds the cap of 40"
 
 
 def test_realize_two_vertex_window():
@@ -315,9 +326,12 @@ def test_decompose_checks_the_total_cap():
     # A non-nilpotent representation of that total is refused the same way.
     longest = WindowMultiset(1, [(1, 40)])
     assert decompose_nilpotent(realize(longest)) == longest
+    # realize refuses a total of 41 too, so the shift of [1, 41] is built
+    # here: one 1 above the diagonal, as realize lays it out.
     loop = cyclic_quiver(1)
+    shift = matrix_from_rows([[int(c == r + 1) for c in range(41)] for r in range(41)])
     identity = Representation(loop, (41,), (identity_matrix(41),))
-    for rep in (realize(WindowMultiset(1, [(1, 41)])), identity):
+    for rep in (Representation(loop, (41,), (shift,)), identity):
         with pytest.raises(ParseError, match="^total dimension 41 exceeds the cap of 40$"):
             decompose_nilpotent(rep)
 
