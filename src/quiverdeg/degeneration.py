@@ -161,7 +161,9 @@ def _tables(n: int, total: int) -> _Tables:
     """The shared tables of rank n and total; one entry serves a whole total.
 
     Callers that visit the vectors of one total together (scan does) build
-    them once, and memory stays bounded to one total's tables.
+    them once, and memory stays bounded to one total's tables. n and total
+    come checked from _dim_vector and every i is in 1..n, so the windows and
+    their one-window classes are canonical as built, with _make.
     """
     windows, needs = [], []
     for i in range(1, n + 1):
@@ -169,9 +171,9 @@ def _tables(n: int, total: int) -> _Tables:
         for j in range(i, i + total):
             # [i, j] is [i, j - 1] plus one basis vector at the residue of j.
             need += 1 << 8 * ((j - 1) % n)
-            windows.append(Window(n, i, j))
+            windows.append(Window._make((n, i, j)))
             needs.append(need)
-    ranks = [rank_key(WindowMultiset(n, [w]), total) for w in windows]
+    ranks = [rank_key(WindowMultiset._make((n, (w,))), total) for w in windows]
     guards = int.from_bytes(b"\x80" * n, "little")
     return _Tables(tuple(windows), guards, needs, {}, ranks)
 
@@ -238,26 +240,27 @@ class HasseDiagram(NamedTuple):
 _AT_MOST = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(MAX_TOTAL_DIM + 1)]
 
 
-def _below_masks(profiles: Sequence[bytes]) -> list[int]:
-    """bit b set in mask[a] iff profiles[a] >= profiles[b] byte by byte.
+def _below_masks(rows: Sequence[bytes], cols: Sequence[bytes]) -> list[int]:
+    """bit b set in mask[a] iff rows[a] >= cols[b] byte by byte.
 
-    The profiles are bytes of one width with every byte at most
-    MAX_TOTAL_DIM, as hasse's rank keys are. Joined in reverse order, column
-    c is the slice [c::width], one byte per node with the last node first,
-    so translating it through _AT_MOST[v] spells in binary the bitset of the
-    nodes whose byte there is at most v. A column with one value for every
-    node is skipped. Each mask is then the AND of one such bitset per
-    varying column, the one of its own byte there, in one pass per node.
+    The rows and cols are bytes of one width with every byte at most
+    MAX_TOTAL_DIM, as hasse's rank keys are. cols joined in reverse order
+    give column c as the slice [c::width], one byte per col with the last
+    first, so translating it through _AT_MOST[v] spells in binary the bitset
+    of the cols whose byte there is at most v. A column where no col byte
+    exceeds the smallest row byte sets every bit and is skipped. Each mask is
+    then the AND of one such bitset per column left, the one of its own byte
+    there, in one pass per row.
     """
-    if not profiles:
-        return []
-    width = len(profiles[0])
-    joined = b"".join(reversed(profiles))
+    full = (1 << len(cols)) - 1
+    if not rows or not cols:
+        return [full] * len(rows)
+    width = len(rows[0])
+    joined = b"".join(reversed(cols))
     varying, tables = [], []
-    for c in range(width):
+    for c, values in enumerate(map(set, zip(*rows))):
         column = joined[c::width]
-        values = set(column)
-        if len(values) == 1:
+        if max(column) <= min(values):
             continue
         table = [0] * (max(values) + 1)
         for v in values:
@@ -267,10 +270,10 @@ def _below_masks(profiles: Sequence[bytes]) -> list[int]:
         varying.append(c)
         tables.append(table)
     if not tables:
-        return [(1 << len(profiles)) - 1] * len(profiles)
+        return [full] * len(rows)
     # itemgetter of a single index returns the item itself, not a 1-tuple.
     pick = itemgetter(*varying) if len(varying) > 1 else lambda key: (key[varying[0]],)
-    return [reduce(and_, map(getitem, tables, pick(key))) for key in profiles]
+    return [reduce(and_, map(getitem, tables, pick(key))) for key in rows]
 
 
 def _covers(below):
@@ -331,7 +334,8 @@ def hasse(n: int, d: Sequence[int]) -> HasseDiagram:
     n, d = _dim_vector(n, d)
     nodes, keys, self_hom = _keyed_classes(n, d)
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
-    below = _below_masks([keys[e] for e in order])
+    ordered = [keys[e] for e in order]
+    below = _below_masks(ordered, ordered)
     pairs = sorted((order[g], order[h]) for g, h in _covers(below))
     edges = tuple(HasseEdge(a, b, self_hom[b] - self_hom[a]) for a, b in pairs)
     return HasseDiagram(n, d, tuple(nodes), edges)
@@ -341,8 +345,7 @@ def codim2_pairs(n: int, d: Sequence[int]):
     """The classes of d and the sorted (upper, lower) indices of their pairs
     of codimension 2: lower's rank key at most upper's byte by byte, and
     self-Hom two more. Each self-Hom layer h takes _below_masks of its keys
-    followed by those of layer h + 2. Within a layer >= means equal, so an
-    upper class's bits past its own layer are its partners."""
+    against those of layer h + 2."""
     n, d = _dim_vector(n, d)
     nodes, keys, self_hom = _keyed_classes(n, d)
     layers: dict[int, list[int]] = {}
@@ -353,9 +356,8 @@ def codim2_pairs(n: int, d: Sequence[int]):
         lower = layers.get(h + 2)
         if lower is None:
             continue
-        masks = _below_masks([keys[e] for e in upper + lower])
+        masks = _below_masks([keys[e] for e in upper], [keys[e] for e in lower])
         for a, mask in zip(upper, masks):
-            mask >>= len(upper)
             while mask:
                 low = mask & -mask
                 pairs.append((a, lower[low.bit_length() - 1]))

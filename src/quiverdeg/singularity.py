@@ -110,24 +110,17 @@ def cancel_common(
 ) -> tuple[WindowMultiset, WindowMultiset]:
     """Remove the multiset intersection from both sides.
 
-    One merge over the two window tuples, which are both sorted.
+    Each window of m is struck from a copy of nn's, or kept if none is left;
+    both sides stay in their sorted order.
     """
     if m.n != nn.n:
         raise ParseError("multisets have different ranks")
-    a, b = m.windows, nn.windows
-    keep_a, keep_b = [], []
-    x = y = 0
-    while x < len(a) and y < len(b):
-        if a[x] == b[y]:
-            x, y = x + 1, y + 1
-        elif a[x] < b[y]:
-            keep_a.append(a[x])
-            x += 1
+    keep_a, keep_b = [], list(nn.windows)
+    for w in m.windows:
+        if w in keep_b:
+            keep_b.remove(w)
         else:
-            keep_b.append(b[y])
-            y += 1
-    keep_a.extend(a[x:])
-    keep_b.extend(b[y:])
+            keep_a.append(w)
     make = WindowMultiset._make
     return make((m.n, tuple(keep_a))), make((nn.n, tuple(keep_b)))
 
@@ -268,18 +261,49 @@ def _compositions(n: int, total: int):
             yield (head,) + rest
 
 
+def _residue_table(ms: WindowMultiset) -> tuple[tuple[int, ...], ...]:
+    """For each residue v - 1 in 0..n-1, the ascending j - i of ms's windows [v, j]."""
+    table = [()] * ms.n
+    for _, i, j in ms.windows:
+        table[i - 1] += (j - i,)
+    return tuple(table)
+
+
+def _orbit_key(m: WindowMultiset, nn: WindowMultiset):
+    """A key that two pairs share iff one is the other rotated: (n, the least
+    over shifts s of the pair's residue tables rotated s places).
+
+    A window [i, j] is fixed by its start's residue and its length, so a
+    side's _residue_table names its class, and rotating the class s places
+    rotates the table s places. No window is built.
+    """
+    n = m.n
+    a, b = _residue_table(m), _residue_table(nn)
+    return n, min((a[s:] + a[:s], b[s:] + b[:s]) for s in range(n))
+
+
 def _memo_verdict(memo: dict, m: WindowMultiset, nn: WindowMultiset) -> SingularityType:
-    """classify's verdict on (m, nn), looked up by the pair left after cancelling.
+    """classify's verdict on (m, nn), looked up by the pair left after
+    cancelling, then by that pair's rotation orbit.
 
     classify's first move cancels the common summands, and every later move
     sees only the cancelled pair, so pairs that cancel to the same pair share
-    their verdict. memo maps cancelled pairs to verdicts and is owned by the
+    their verdict. Rotating the cycle commutes with cancelling and with every
+    later move (proved move by move in scan_rows), so the rotations of a
+    cancelled pair share it too. memo maps both keys to verdicts: the
+    cancelled pair, and on a miss its _orbit_key (an int first, where a pair
+    has a class, so the two never collide). An orbit is classified once, on
+    the first pair met in it as that pair stands. memo is owned by the
     caller, one per scan or annotation.
     """
     key = cancel_common(m, nn)
     verdict = memo.get(key)
     if verdict is None:
-        verdict = memo[key] = classify(*key)[0]
+        orbit = _orbit_key(*key)
+        verdict = memo.get(orbit)
+        if verdict is None:
+            verdict = memo[orbit] = classify(*key)[0]
+        memo[key] = verdict
     return verdict
 
 
@@ -312,7 +336,8 @@ def scan_rows(max_n: int, max_dim: int):
     of classes with codimension exactly 2 (codim2_pairs, with no Hasse
     diagram) and how many of them classify calls Reg, A_r and Unresolved,
     and a tuple of the Unresolved pairs as (upper, lower) in node order.
-    Verdicts are shared across the scan by the pair left after cancelling.
+    Verdicts are shared across the scan as _memo_verdict says: by the pair
+    left after cancelling and by that pair's rotation orbit.
 
     The row is computed once per rotation orbit. The rotation rho_s: v ->
     v + s is an automorphism of the cycle; on windows it is [i, j] -> [i + s,
@@ -370,8 +395,8 @@ def annotate(diagram: HasseDiagram) -> HasseDiagram:
     """The diagram with its covers labelled by the singularity type.
 
     Codimension-1 covers are Reg and codimension-2 covers get the verdict of
-    classify, shared by covers that cancel to the same pair; deeper covers
-    stay unlabelled.
+    classify, shared as _memo_verdict says (by the cancelled pair and its
+    rotation orbit); deeper covers stay unlabelled.
     """
     memo: dict = {}
     edges = []

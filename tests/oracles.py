@@ -305,31 +305,28 @@ def graded_masks(n: int, d: Sequence[int]):
     self_hom = [multiset_hom_dim(node, node) for node in nodes]
     order = sorted(range(len(nodes)), key=self_hom.__getitem__)
     total = sum(d)
-    below = _below_masks([bytes(flat_ranks(nodes[e], total)) for e in order])
+    keys = [bytes(flat_ranks(nodes[e], total)) for e in order]
+    below = _below_masks(keys, keys)
     return nodes, self_hom, order, below
 
 
-def below_masks(rows) -> list[int]:
-    """bit b set in mask[a] iff rows[a] >= rows[b] componentwise, for rows of
-    any integers: the reference for degeneration._below_masks.
+def below_masks(rows, cols) -> list[int]:
+    """bit b set in mask[a] iff rows[a] >= cols[b] componentwise, for rows
+    and cols of any integers: the reference for degeneration._below_masks.
 
-    Built one coordinate at a time: at_most[v] is the bitset of the rows
-    whose entry there is at most v, and each mask keeps the rows in at_most
-    of its own entry. A coordinate with one value for every row is skipped.
+    Built one coordinate at a time: exact[u] is the bitset of the cols
+    whose entry there is u, and each mask keeps the union of exact[u] over
+    every u at most its own entry. No coordinate is skipped.
     """
-    masks = [(1 << len(rows)) - 1] * len(rows)
-    for column in zip(*rows):
-        if column.count(column[0]) == len(column):
-            continue
+    masks = [(1 << len(cols)) - 1] * len(rows)
+    if not rows or not cols:
+        return masks
+    for row_column, column in zip(zip(*rows), zip(*cols)):
         exact: dict[int, int] = {}
         for b, v in enumerate(column):
             exact[v] = exact.get(v, 0) | (1 << b)
-        at_most, acc = {}, 0
-        for v in sorted(exact):
-            acc |= exact[v]
-            at_most[v] = acc
-        for b, v in enumerate(column):
-            masks[b] &= at_most[v]
+        for a, v in enumerate(row_column):
+            masks[a] &= sum(bits for u, bits in exact.items() if u <= v)
     return masks
 
 

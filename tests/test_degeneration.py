@@ -387,9 +387,8 @@ def test_rank_order_equals_hom_order_exhaustively():
                 nodes, _, order, below = graded_masks(n, dims)
                 ts = ProbeSet.up_to(n, total)
                 # rank_a >= rank_b iff hom_a <= hom_b: negate the Hom profiles.
-                hom_order = below_masks(
-                    [[-h for h in hom_profile(nodes[e], ts)] for e in order]
-                )
+                negated = [[-h for h in hom_profile(nodes[e], ts)] for e in order]
+                hom_order = below_masks(negated, negated)
                 assert below == hom_order, (n, dims)
                 pairs += len(nodes) ** 2
     assert pairs == 113_355
@@ -545,38 +544,45 @@ def test_json_output_round_trips():
 
 @st.composite
 def _profile_tables(draw):
-    """Small entries and short rows make ties and duplicate rows common. Up
-    to two columns are then made constant, as the dimension-vector and
+    """rows and cols of one width, cols either rows itself or drawn apart.
+    Small entries and short rows make ties and duplicate rows common. Up to
+    two columns are then made constant, as the dimension-vector and
     all-zero columns of hasse's rank keys are, which _below_masks skips."""
     width = draw(st.integers(0, 4))
     row = st.lists(st.integers(0, 3), min_size=width, max_size=width).map(bytes)
     rows = draw(st.lists(row, max_size=12))
+    cols = draw(st.one_of(st.just(rows), st.lists(row, max_size=12)))
     for value in draw(st.lists(st.integers(0, 3), max_size=2)):
         at = draw(st.integers(0, width))
-        rows = [row[:at] + bytes([value]) + row[at:] for row in rows]
+        rows, cols = ([r[:at] + bytes([value]) + r[at:] for r in t] for t in (rows, cols))
         width += 1
-    return rows
+    return rows, cols
 
 
 @settings(max_examples=300, deadline=None)
 @given(_profile_tables())
-@example([])
-@example([b""])
-@example([b"", b"", b""])
-@example([bytes([2, 1])])
-@example([bytes(r) for r in ((1, 2), (1, 2), (0, 3), (1, 3))])
-@example([bytes(r) for r in ((3, 1, 0), (3, 0, 0), (3, 2, 0))])
-@example([bytes([1, 1]), bytes([1, 1])])
-def test_below_masks_match_componentwise_order(rows):
+@example(([], []))
+@example(([b""], [b""]))
+@example(([b"", b"", b""], [b"", b"", b""]))
+@example(([bytes([2, 1])], [bytes([2, 1])]))
+@example(([bytes(r) for r in ((1, 2), (1, 2), (0, 3), (1, 3))],) * 2)
+@example(([bytes(r) for r in ((3, 1, 0), (3, 0, 0), (3, 2, 0))],) * 2)
+@example(([bytes([1, 1]), bytes([1, 1])],) * 2)
+@example(([bytes([1, 2])], []))
+@example(([], [bytes([1, 2])]))
+@example(([bytes([2, 0]), bytes([3, 1])], [bytes([2, 1]), bytes([1, 0])]))
+@example(([bytes([2, 2])], [bytes([0, 2]), bytes([1, 3])]))
+def test_below_masks_match_componentwise_order(tables):
+    rows, cols = tables
     expected = [
         sum(
             1 << b
-            for b, other in enumerate(rows)
+            for b, other in enumerate(cols)
             if all(x >= y for x, y in zip(row, other))
         )
         for row in rows
     ]
-    assert _below_masks(rows) == expected
+    assert _below_masks(rows, cols) == expected
 
 
 # Distinct rows: a row strictly below another in the order >= has a strictly
@@ -608,14 +614,15 @@ def test_peeled_covers_are_the_naive_covers(rows):
         and ge[a][b]
         and not any(c not in (a, b) and ge[a][c] and ge[c][b] for c in k)
     ]
-    assert list(_covers(_below_masks(rows))) == naive
+    assert list(_covers(_below_masks(rows, rows))) == naive
 
 
 @st.composite
 def _byte_tables(draw):
     """Rows of one width 0 to 6 with bytes 0 to 40, the cap a rank key byte
     reaches, drawn often from the two ends so that ties are common; then
-    duplicate rows, and up to two columns made constant."""
+    duplicate rows, and up to two columns made constant. Returns them as
+    both rows and cols, or split in two as codim2_pairs splits two layers."""
     width = draw(st.integers(0, 6))
     entry = st.one_of(st.integers(0, 2), st.integers(38, 40), st.integers(0, 40))
     row = st.lists(entry, min_size=width, max_size=width).map(bytes)
@@ -626,17 +633,20 @@ def _byte_tables(draw):
     for at in draw(st.lists(st.integers(0, width - 1), max_size=2)) if width else ():
         value = bytes([draw(entry)])
         rows = [row[:at] + value + row[at + 1:] for row in rows]
-    return rows
+    split = draw(st.one_of(st.none(), st.integers(0, len(rows))))
+    return (rows, rows) if split is None else (rows[:split], rows[split:])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_byte_tables())
-@example([])
-@example([b""])
-@example([bytes([40, 0, 40])])
-@example([bytes([40, 0]), bytes([0, 40]), bytes([40, 40]), bytes([40, 40])])
-def test_below_masks_equal_the_dict_reference(rows):
-    assert _below_masks(rows) == below_masks(rows)
+@example(([], []))
+@example(([b""], [b""]))
+@example(([bytes([40, 0, 40])],) * 2)
+@example(([bytes([40, 0]), bytes([0, 40]), bytes([40, 40]), bytes([40, 40])],) * 2)
+@example(([bytes([40, 0]), bytes([39, 1])], [bytes([38, 40]), bytes([0, 0])]))
+def test_below_masks_equal_the_dict_reference(tables):
+    rows, cols = tables
+    assert _below_masks(rows, cols) == below_masks(rows, cols)
 
 
 def test_below_masks_past_the_str_to_int_digit_limit():
@@ -645,7 +655,7 @@ def test_below_masks_past_the_str_to_int_digit_limit():
     rnd = random.Random(27)
     rows = [bytes(rnd.choice((0, 1, 2, 39, 40)) for _ in range(5)) + b"\x07"
             for _ in range(5_000)]
-    assert _below_masks(rows) == below_masks(rows)
+    assert _below_masks(rows, rows) == below_masks(rows, rows)
 
 
 def test_below_masks_hold_one_mask_list_at_a_time(monkeypatch):
@@ -655,13 +665,15 @@ def test_below_masks_hold_one_mask_list_at_a_time(monkeypatch):
     # result's size.
     passed, kernel = [], degeneration._below_masks
     monkeypatch.setattr(
-        degeneration, "_below_masks", lambda keys: passed.append(keys) or kernel(keys)
+        degeneration,
+        "_below_masks",
+        lambda rows, cols: passed.append(rows) or kernel(rows, cols),
     )
     hasse(3, (5, 5, 5))
     (keys,) = passed
     tracemalloc.start()
     try:
-        masks = _below_masks(keys)
+        masks = _below_masks(keys, keys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

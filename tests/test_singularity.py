@@ -12,6 +12,7 @@ from quiverdeg.singularity import (
     SingularityType,
     _checked_codim,
     _dim_vectors,
+    _orbit_key,
     _terminal_lengths,
     annotate,
     cancel_common,
@@ -21,7 +22,7 @@ from quiverdeg.singularity import (
     socle_reduce,
     top_reduce,
 )
-from quiverdeg.windows import SimpleMultiset, Window, WindowMultiset, residue
+from quiverdeg.windows import SimpleMultiset, Window, WindowMultiset, rank_key, residue
 
 import oracles
 from oracles import multiset_dual
@@ -265,6 +266,13 @@ def test_classify_rotation_equivariance():
     assert checked == 3951
 
 
+def _count_calls(monkeypatch, name):
+    """Record the arguments of each call to singularity.<name>."""
+    calls, kernel = [], getattr(singularity, name)
+    monkeypatch.setattr(singularity, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
 def test_scan_rows_equal_a_direct_scan(monkeypatch):
     # scan_rows computes each row at its rotation orbit's first vector and
     # rotates that vector's Unresolved pairs; the reference classifies every
@@ -281,14 +289,51 @@ def test_scan_rows_equal_a_direct_scan(monkeypatch):
         for pair in pairs
     ]
     assert (sum(len(row[4]) for row in rows), len(rotated)) == (95, 40)
-    calls = []
-    monkeypatch.setattr(
-        singularity, "codim2_pairs", lambda n, d: calls.append(d) or codim2_pairs(n, d)
-    )
+    calls = _count_calls(monkeypatch, "codim2_pairs")
     # One codim2_pairs per rotation orbit: 216 calls, one per vector,
     # without the sharing.
     assert sum(1 for _ in scan_rows(3, 8)) == 216
     assert len(calls) == 88
+
+
+@pytest.mark.parametrize(
+    "run, cancelled, orbits",
+    [
+        (lambda: list(scan_rows(3, 8)), 286, 170),
+        (lambda: annotate(hasse(3, (4, 4, 4))), 111, 37),
+        (lambda: list(scan_rows(4, 12)), 5190, 2037),
+    ],
+    ids=["scan 3 8", "annotate 444", "scan 4 12"],
+)
+def test_memo_classifies_once_per_rotation_orbit(monkeypatch, run, cancelled, orbits):
+    # One _orbit_key per distinct cancelled pair, one classify per orbit.
+    keyed = _count_calls(monkeypatch, "_orbit_key")
+    classified = _count_calls(monkeypatch, "classify")
+    run()
+    assert (len(keyed), len(classified)) == (cancelled, orbits)
+
+
+def test_orbit_key_names_the_rotation_orbit(monkeypatch):
+    # On every cancelled pair that scan_rows(3, 7) meets, and every rotation
+    # of one: the key is the same on each rotation, and two pairs share a key
+    # iff they share their least rotation.
+    met = _count_calls(monkeypatch, "_orbit_key")
+    list(scan_rows(3, 7))
+    pairs = {
+        (_rotate(m, s), _rotate(nn, s)) for m, nn in met for s in range(m.n)
+    }
+    assert (len(met), len(pairs)) == (172, 250)
+    keys = {}
+    for m, nn in pairs:
+        key = _orbit_key(m, nn)
+        assert all(
+            _orbit_key(_rotate(m, s), _rotate(nn, s)) == key
+            for s in range(-m.n, 2 * m.n)
+        ), (m, nn)
+        keys[m, nn] = key
+    least = {p: min((_rotate(p[0], s), _rotate(p[1], s)) for s in range(p[0].n)) for p in pairs}
+    assert len(set(keys.values())) == len(set(least.values())) == 101
+    assert len(set(zip(keys.values(), least.values()))) == len(set(least.values()))
 
 
 def test_scan_rows_build_no_hasse_diagram(monkeypatch):
@@ -325,10 +370,17 @@ def _assert_derived_checked(m, shifts):
 
 
 def test_derived_values_equal_their_checked_construction():
-    # enumerate_nilpotent (its _walk), cancel_common, socle, dual,
-    # quotient_by_socle and _rotate build their results with _make and
+    # enumerate_nilpotent (its _walk and _tables), cancel_common, socle,
+    # dual, quotient_by_socle and _rotate build their results with _make and
     # skip the checks of __new__; each must still give the checked value.
     rng = random.Random(28)
+    for n, total in [(n, total) for n in (1, 2, 3) for total in range(1, 9)] + [(40, 3)]:
+        t = degeneration._tables.__wrapped__(n, total)
+        assert len(t.windows) == len(t.ranks) == n * total
+        for w, rank in zip(t.windows, t.ranks):
+            one = WindowMultiset(n, [(w.i, w.j)])
+            assert type(w) is Window and w == one.windows[0], w
+            assert rank == rank_key(one, total), w
     classes = 0
     for n in (1, 2, 3):
         shifts = range(-n, 2 * n + 1)
