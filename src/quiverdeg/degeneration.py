@@ -183,10 +183,12 @@ def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     of reps.
 
     The rank and each entry go through reps.as_int, so a float or a string is
-    rejected and True reads as 1. The rank is checked first and the total
-    last, each against its cap.
+    rejected and True reads as 1. The rank is checked first, at least 1 and
+    within its cap, and the total last.
     """
     n = as_int("rank", n)
+    if n < 1:
+        raise ParseError("cyclic rank must be at least 1")
     check_cap("rank", n, MAX_RANK)
     entries = [as_int("dimension vector entry", x) for x in d]
     if len(entries) != n:

@@ -3,7 +3,8 @@
 Each class carries the exit code the CLI ends with when a command raises it:
 malformed or ill-fitting input (2), nilpotency violations (3), order
 violations (4) and scope violations (5). An error whose exit_code is None
-signals a bug and ends in a traceback.
+signals a bug and ends in a traceback. Every check in the library raises one
+of these classes; none raises ValueError or TypeError.
 """
 
 

@@ -75,7 +75,7 @@ def quiver_from_obj(obj: dict) -> Quiver:
         arrows.append(Arrow(name, source, target))
     try:
         return Quiver(count, tuple(arrows))
-    except ValueError as exc:
+    except ParseError as exc:
         raise ParseError(f"quiver: {exc}") from exc
 
 
@@ -96,13 +96,9 @@ def _matrix_from_obj(rows_obj, rows: int, cols: int, context: str) -> RatMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{context}: row {r} must have {cols} entries")
         for c, value in enumerate(row):
-            if isinstance(value, float):
-                raise ParseError(
-                    f"{context}[{r}][{c}]: floats are not accepted, use \"p/q\""
-                )
             try:
                 entries.append(parse_rational(value))
-            except ValueError as exc:
+            except ParseError as exc:
                 raise ParseError(f"{context}[{r}][{c}]: {exc}") from exc
     return RatMatrix(rows, cols, entries)
 

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
+from .errors import ParseError
+
 _ZERO = Fraction(0)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -26,7 +28,7 @@ def parse_rational(value) -> Fraction:
     decimals and exponents Fraction reads: "1e3000000" has 3,000,001 digits.
     """
     if isinstance(value, bool):
-        raise ValueError(f"cannot interpret {value!r} as a rational")
+        raise ParseError(f"cannot interpret {value!r} as a rational")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -34,9 +36,11 @@ def parse_rational(value) -> Fraction:
             if _RATIONAL.fullmatch(value.strip()):
                 return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational from {value!r}") from exc
-        raise ValueError(f"cannot parse rational from {value!r}")
-    raise ValueError(f"cannot interpret {value!r} as a rational")
+            raise ParseError(f"cannot parse rational from {value!r}") from exc
+        raise ParseError(f"cannot parse rational from {value!r}")
+    if isinstance(value, float):
+        raise ParseError('floats are not accepted, use "p/q"')
+    raise ParseError(f"cannot interpret {value!r} as a rational")
 
 
 def format_rational(value: Fraction):
@@ -57,12 +61,12 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols entries")):
 
     def __new__(cls, rows: int, cols: int, entries: Iterable) -> "RatMatrix":
         if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+            raise ParseError("matrix dimensions must be nonnegative")
         ent = tuple(
             e if isinstance(e, Fraction) else parse_rational(e) for e in entries
         )
         if len(ent) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
+            raise ParseError(f"expected {rows * cols} entries, got {len(ent)}")
         return tuple.__new__(cls, (rows, cols, ent))
 
     def at(self, i: int, j: int) -> Fraction:
@@ -74,7 +78,7 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols entries")):
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
+            raise ParseError("shape mismatch in matrix product")
         n, k, m = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         out = [_ZERO] * (n * m)

@@ -34,15 +34,15 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
 
     def __new__(cls, vertex_count: int, arrows: Sequence[Arrow]) -> "Quiver":
         if not isinstance(vertex_count, int) or vertex_count < 0:
-            raise ValueError(f"vertex count {vertex_count!r} is not a nonnegative integer")
+            raise ParseError(f"vertex count {vertex_count!r} is not a nonnegative integer")
         arrows = tuple(arrows)
         seen = set()
         for a in arrows:
             for end, v in (("source", a.source), ("target", a.target)):
                 if not isinstance(v, int) or not 1 <= v <= vertex_count:
-                    raise ValueError(f"arrow {a.name!r} has {end} {v!r} out of range")
+                    raise ParseError(f"arrow {a.name!r} has {end} {v!r} out of range")
             if a.name in seen:
-                raise ValueError(f"duplicate arrow id {a.name!r}")
+                raise ParseError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
         return tuple.__new__(cls, (vertex_count, arrows))
 

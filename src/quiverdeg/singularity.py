@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs
 from .linalg import parse_rational
-from .reps import as_int
+from .reps import MAX_RANK, MAX_TOTAL_DIM, as_int, check_cap
 from .windows import Window, WindowMultiset, _canonical, residue
 
 
@@ -42,7 +42,7 @@ class SingularityType(NamedTuple):
     @classmethod
     def a_type(cls, r: int) -> "SingularityType":
         if r < 1:
-            raise ValueError("A-type index must be at least 1")
+            raise ParseError("A-type index must be at least 1")
         return cls("A", r)
 
     @classmethod
@@ -373,7 +373,11 @@ def scan_rows(max_n: int, max_dim: int):
     pairs. They are then sorted by their windows: the node order of rho_s d,
     since enumerate_nilpotent lists the classes in lexicographic order of
     their (i, j) lists and no class of one vector is a prefix of another.
+
+    Both bounds are checked against their caps before the first row.
     """
+    check_cap("rank", max_n, MAX_RANK)
+    check_cap("total dimension", max_dim, MAX_TOTAL_DIM)
     memo: dict = {}
     for n in range(1, max_n + 1):
         for _, vectors in groupby(_dim_vectors(n, max_dim), key=sum):

@@ -14,6 +14,8 @@ No decorator exempts a definition: the CLI commands are reached by name
 from its parser. The size caps are assigned only in reps.py, and only
 reps.check_cap formats a cap message. Only the functions of UNCHECKED build
 a named tuple with `_make`, and `tuple.__new__` is read only in a `__new__`.
+No check raises ValueError or TypeError: every one raises a class of
+quiverdeg.errors.
 """
 
 import ast
@@ -428,4 +430,45 @@ def test_unchecked_gate_flags_a_new_site():
     assert unchecked_constructions(sources) == [
         f"windows.py:{planted}: _make in reconstruct_from_socle_quotient",
         f"windows.py:{len(lines)}: tuple.__new__ in _window",
+    ]
+
+
+BUILTIN_ERRORS = {"ValueError", "TypeError"}
+
+
+def builtin_raises(sources) -> list[str]:
+    """`raise ValueError` and `raise TypeError` statements, called or bare.
+
+    `except ValueError` clauses that translate a standard-library error
+    (json, int(), Fraction()) into a quiverdeg error are not raises.
+    """
+    found = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+                found.append((name, node.lineno, exc.id))
+    return [f"{name}:{lineno}: raise {exc}" for name, lineno, exc in sorted(found)]
+
+
+def test_every_check_raises_a_quiverdeg_error():
+    found = builtin_raises(SOURCES)
+    assert not found, found
+
+
+def test_error_gate_flags_a_builtin_raise():
+    # SingularityType.a_type's check as it stood, and a bare TypeError.
+    checked = '            raise ParseError("A-type index must be at least 1")\n'
+    assert SOURCES["singularity.py"].count(checked) == 1
+    singularity = SOURCES["singularity.py"].replace(
+        checked, checked.replace("ParseError", "ValueError")
+    ) + "def _integer(x):\n    raise TypeError\n"
+    lines = singularity.splitlines()
+    planted = lines.index(checked.replace("ParseError", "ValueError").rstrip("\n")) + 1
+    sources = dict(SOURCES, **{"singularity.py": singularity})
+    assert builtin_raises(sources) == [
+        f"singularity.py:{planted}: raise ValueError",
+        f"singularity.py:{len(lines)}: raise TypeError",
     ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverdeg.errors import ParseError
 from quiverdeg.linalg import RatMatrix, format_rational, parse_rational
 
 from oracles import (
@@ -20,15 +21,15 @@ def test_parse_rational_forms():
     assert parse_rational(3) == Fraction(3)
     assert parse_rational("2/6") == Fraction(1, 3)
     assert parse_rational("-7") == Fraction(-7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_rational("1/0")
     # Only integers and "p/q": Fraction alone would also read these.
     for text in ("1e3000000", "0.5", "1_000"):
-        with pytest.raises(ValueError, match="cannot parse rational"):
+        with pytest.raises(ParseError, match="cannot parse rational"):
             parse_rational(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_rational(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         parse_rational(True)
 
 

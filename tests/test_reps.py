@@ -127,11 +127,11 @@ def test_integer_inputs_reject_non_integers(build, message):
 
 def test_quiver_rejects_a_non_integer_vertex_count():
     # Quiver stored 1.5 as its vertex count. Like its other checks, this one
-    # raises ValueError, which formats.quiver_from_obj turns into a ParseError.
+    # raises ParseError, which formats.quiver_from_obj prefixes with "quiver: ".
     for count in (1.5, "2"):
-        with pytest.raises(ValueError, match=f"vertex count {count!r} is not"):
+        with pytest.raises(ParseError, match=f"vertex count {count!r} is not"):
             Quiver(count, ())
-    with pytest.raises(ValueError, match="vertex count -1 is not a nonnegative integer"):
+    with pytest.raises(ParseError, match="vertex count -1 is not a nonnegative integer"):
         Quiver(-1, ())
     assert Quiver(0, ()).vertex_count == 0
 
@@ -140,7 +140,7 @@ def test_quiver_rejects_non_integer_arrow_endpoints():
     # Quiver(2, [Arrow("a", 1.5, 1)]) passed its range check, and
     # Representation and euler_form on it ended in a TypeError traceback.
     for arrow, end in ((Arrow("a", 1.5, 1), "source 1.5"), (Arrow("a", 1, "2"), "target '2'")):
-        with pytest.raises(ValueError, match=f"arrow 'a' has {end} out of range"):
+        with pytest.raises(ParseError, match=f"arrow 'a' has {end} out of range"):
             Quiver(2, [arrow])
     assert Quiver(2, [Arrow("a", 1, 2)]).arrows == (Arrow("a", 1, 2),)
 

@@ -39,7 +39,7 @@ def test_singularity_type_normalization():
     assert str(SingularityType.reg()) == "Reg"
     assert str(SingularityType.a_type(4)) == "A4"
     assert str(SingularityType.unresolved()) == "Unresolved"
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         SingularityType.a_type(0)
 
 
@@ -344,6 +344,22 @@ def test_scan_rows_build_no_hasse_diagram(monkeypatch):
     for name in ("hasse", "_covers"):
         monkeypatch.setattr(degeneration, name, refuse)
     assert sum(1 for _ in scan_rows(3, 8)) == 216
+
+
+@pytest.mark.parametrize(
+    "max_n, max_dim, message",
+    [(41, 1, "rank 41 exceeds the cap of 40"), (1, 41, "total dimension 41 exceeds the cap of 40")],
+    ids=["rank", "total"],
+)
+def test_scan_rows_check_their_caps_before_the_first_row(monkeypatch, max_n, max_dim, message):
+    # scan_rows(41, 1) yielded the 820 rows of ranks 1 to 40 before it
+    # failed, and scan_rows(1, 41) enumerated every total up to 40.
+    calls = _count_calls(monkeypatch, "_scan_row")
+    rows = scan_rows(max_n, max_dim)
+    with pytest.raises(ParseError) as caught:
+        next(rows)
+    assert str(caught.value) == message
+    assert calls == []
 
 
 def _assert_checked(x):
