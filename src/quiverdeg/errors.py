@@ -4,8 +4,11 @@ Each class carries the exit code the CLI ends with when a command raises it:
 malformed or ill-fitting input (2), nilpotency violations (3), order
 violations (4) and scope violations (5). An error whose exit_code is None
 signals a bug and ends in a traceback. Every check in the library raises one
-of these classes; none raises ValueError or TypeError.
+of these classes; none raises ValueError or TypeError. as_int is the one
+integer check they share.
 """
+
+import operator
 
 
 class Error(Exception):
@@ -42,3 +45,11 @@ class OutOfScope(Error):
 
 class Inconsistent(Error):
     """Internal structural assertion failed; signals a bug or corrupt input."""
+
+
+def as_int(field: str, value) -> int:
+    """value as an int (operator.index), never a truncated float or a parsed string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParseError(f"{field} {value!r} is not an integer") from None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, as_int
 
 _ZERO = Fraction(0)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -60,6 +60,7 @@ class RatMatrix(namedtuple("RatMatrix", "rows cols entries")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, rows: int, cols: int, entries: Iterable) -> "RatMatrix":
+        rows, cols = as_int("matrix rows", rows), as_int("matrix cols", cols)
         if rows < 0 or cols < 0:
             raise ParseError("matrix dimensions must be nonnegative")
         ent = tuple(

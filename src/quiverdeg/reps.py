@@ -9,12 +9,11 @@ path algebras are hereditary.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, as_int
 from .linalg import RatMatrix
 
 _ZERO = Fraction(0)
@@ -95,14 +94,6 @@ def check_cap(field: str, value: int, cap: int) -> None:
     """Reject a size above its cap before anything is built from it."""
     if value > cap:
         raise ParseError(f"{field} {value} exceeds the cap of {cap}")
-
-
-def as_int(field: str, value) -> int:
-    """value as an int (operator.index), never a truncated float or a parsed string."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParseError(f"{field} {value!r} is not an integer") from None
 
 
 def _check_hom_pair(v: Representation, w: Representation) -> None:

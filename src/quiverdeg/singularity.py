@@ -21,10 +21,10 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError
+from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError, as_int
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs
 from .linalg import parse_rational
-from .reps import MAX_RANK, MAX_TOTAL_DIM, as_int, check_cap
+from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
 from .windows import Window, WindowMultiset, _canonical, residue
 
 
@@ -41,6 +41,7 @@ class SingularityType(NamedTuple):
 
     @classmethod
     def a_type(cls, r: int) -> "SingularityType":
+        r = as_int("A-type index", r)
         if r < 1:
             raise ParseError("A-type index must be at least 1")
         return cls("A", r)

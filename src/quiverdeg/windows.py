@@ -25,9 +25,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .errors import Inconsistent, NotNilpotent, ParseError
+from .errors import Inconsistent, NotNilpotent, ParseError, as_int
 from .linalg import RatMatrix
-from .reps import MAX_TOTAL_DIM, Arrow, Quiver, Representation, as_int, check_cap
+from .reps import MAX_TOTAL_DIM, Arrow, Quiver, Representation, check_cap
 
 
 def residue(value: int, n: int) -> int:

@@ -11,8 +11,9 @@ top and radical read directly off the window ends, to check `top_reduce`
 a graded numbering with the codimension-2 pairs searched off it, to check
 `degeneration.codim2_pairs` (masks within pairs of self-Hom layers) by, and the
 componentwise order of integer rows one coordinate at a time through
-dicts, to check `degeneration._below_masks` (byte columns through
-`bytes.translate`) by. The plain
+dicts, to check `degeneration._below_masks` (one guarded subtraction per
+pair on small tables, byte columns through `bytes.translate` on large ones)
+by. The plain
 depth-first enumeration checks `enumerate_nilpotent` (a walk of a memoized
 move table). The list form of the composite ranks, `multiset_ranks`, is
 the reference for `windows.rank_key`: flattened, it checks `hasse`'s rank

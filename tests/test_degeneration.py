@@ -29,7 +29,7 @@ from quiverdeg.degeneration import (
 )
 from quiverdeg.errors import NotADegeneration, ParseError
 from quiverdeg.formats import MAX_RANK, MAX_TOTAL_DIM
-from quiverdeg.singularity import _compositions, _dim_vectors, annotate, classify
+from quiverdeg.singularity import _compositions, _dim_vectors, annotate, classify, scan_rows
 from quiverdeg.windows import (
     Window,
     WindowMultiset,
@@ -542,6 +542,29 @@ def test_json_output_round_trips():
     assert len(obj["nodes"]) == 3
 
 
+def _both_kernels(rows, cols):
+    """_below_masks of rows and cols with every table sent to the column
+    kernel (a crossover of -1), then to the pairwise one (1 << 30): the
+    property tests below draw small tables, which reach only the pairwise
+    kernel as it stands."""
+    masks = []
+    for crossover in (-1, 1 << 30):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(degeneration, "_PAIRWISE_MAX", crossover)
+            masks.append(_below_masks(rows, cols))
+    return masks
+
+
+def _sized_tables(pairs):
+    """Seeded rows and cols of width 5, bytes 0 to 40, with len(rows) *
+    len(cols) == pairs: as square as pairs's divisors allow."""
+    rnd = random.Random(pairs)
+    k = max(d for d in range(1, int(pairs**0.5) + 1) if pairs % d == 0)
+    entries = (0, 1, 2, 39, 40)
+    table = [bytes(rnd.choice(entries) for _ in range(5)) for _ in range(pairs // k + k)]
+    return table[:k], table[k:]
+
+
 @st.composite
 def _profile_tables(draw):
     """rows and cols of one width, cols either rows itself or drawn apart.
@@ -582,7 +605,7 @@ def test_below_masks_match_componentwise_order(tables):
         )
         for row in rows
     ]
-    assert _below_masks(rows, cols) == expected
+    assert _both_kernels(rows, cols) == [expected, expected]
 
 
 # Distinct rows: a row strictly below another in the order >= has a strictly
@@ -614,7 +637,7 @@ def test_peeled_covers_are_the_naive_covers(rows):
         and ge[a][b]
         and not any(c not in (a, b) and ge[a][c] and ge[c][b] for c in k)
     ]
-    assert list(_covers(_below_masks(rows, rows))) == naive
+    assert [list(_covers(masks)) for masks in _both_kernels(rows, rows)] == [naive, naive]
 
 
 @st.composite
@@ -644,9 +667,52 @@ def _byte_tables(draw):
 @example(([bytes([40, 0, 40])],) * 2)
 @example(([bytes([40, 0]), bytes([0, 40]), bytes([40, 40]), bytes([40, 40])],) * 2)
 @example(([bytes([40, 0]), bytes([39, 1])], [bytes([38, 40]), bytes([0, 0])]))
+@example(([], [bytes([1, 2])]))
+@example(([b""] * 2, [b""] * 3))
+@example(_sized_tables(degeneration._PAIRWISE_MAX))
+@example(_sized_tables(degeneration._PAIRWISE_MAX + 1))
 def test_below_masks_equal_the_dict_reference(tables):
     rows, cols = tables
+    expected = below_masks(rows, cols)
+    assert _both_kernels(rows, cols) == [expected, expected]
+
+
+def _count_kernels(monkeypatch):
+    """The rows x cols size of each table each _below_masks kernel is given."""
+    sizes = {}
+    for name in ("_pairwise_masks", "_column_masks"):
+        kernel, sizes[name] = getattr(degeneration, name), []
+        monkeypatch.setattr(
+            degeneration,
+            name,
+            lambda rows, cols, kernel=kernel, log=sizes[name]:
+                log.append(len(rows) * len(cols)) or kernel(rows, cols),
+        )
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "extra, pairwise, column", [(0, [1024], []), (1, [], [1025])], ids=["at", "past"]
+)
+def test_below_masks_switch_kernels_past_the_crossover(monkeypatch, extra, pairwise, column):
+    sizes = _count_kernels(monkeypatch)
+    rows, cols = _sized_tables(degeneration._PAIRWISE_MAX + extra)
     assert _below_masks(rows, cols) == below_masks(rows, cols)
+    assert sizes == {"_pairwise_masks": pairwise, "_column_masks": column}
+
+
+def test_benchmark_workloads_land_on_both_kernels(monkeypatch):
+    # One scan --max-n 3 --max-dim 8 pass compares self-Hom layers of at
+    # most 11 classes; annotated hasse (4,4,4) compares its 788 classes
+    # with each other once.
+    sizes = _count_kernels(monkeypatch)
+    assert sum(1 for _ in scan_rows(3, 8)) == 216
+    pairwise = sizes["_pairwise_masks"]
+    assert (len(pairwise), sum(pairwise), max(pairwise)) == (222, 2205, 121)
+    assert sizes["_column_masks"] == []
+    pairwise.clear()
+    annotate(hasse(3, (4, 4, 4)))
+    assert sizes == {"_pairwise_masks": [], "_column_masks": [788 * 788]}
 
 
 def test_below_masks_past_the_str_to_int_digit_limit():
@@ -806,11 +872,14 @@ def test_codim2_pairs_equal_the_mask_search():
     assert [sum(col) for col in zip(*counts.values())] == [3321, 2931]
 
 
-def test_codim2_pairs_of_8_8_8():
+def test_codim2_pairs_of_8_8_8(monkeypatch):
     # 92,464 classes: whole-order masks would take 1.07 GB, the layers
-    # about 100 MB.
+    # about 100 MB. Of its 134 layer pairs, 33 are small enough for the
+    # pairwise kernel and 101 take the column kernel.
+    sizes = _count_kernels(monkeypatch)
     nodes, pairs = codim2_pairs(3, (8, 8, 8))
     assert (len(nodes), len(pairs)) == (92464, 559119)
+    assert [len(sizes["_pairwise_masks"]), len(sizes["_column_masks"])] == [33, 101]
 
 
 def test_enumerate_nilpotent_leaves_no_reference_cycles():

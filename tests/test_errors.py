@@ -37,6 +37,13 @@ from cli_runner import invoke
             "duplicate arrow id 'a'",
         ),
         (lambda: SingularityType.a_type(0), "A-type index must be at least 1"),
+        # Only the sign of these integers was checked: the matrix was built
+        # and its rank() raised TypeError, "2" < 0 raised TypeError, and
+        # a_type(1.5) built A1.5.
+        (lambda: RatMatrix(1.5, 2, [1, 2, 3]), "matrix rows 1.5 is not an integer"),
+        (lambda: RatMatrix("2", 2, []), "matrix rows '2' is not an integer"),
+        (lambda: RatMatrix(1, 2.0, [1, 2]), "matrix cols 2.0 is not an integer"),
+        (lambda: SingularityType.a_type(1.5), "A-type index 1.5 is not an integer"),
         (
             lambda: model_variety_membership("A", 1, ["x", 1, 1]),
             "cannot parse rational from 'x'",
@@ -58,6 +65,10 @@ from cli_runner import invoke
         "quiver-endpoint",
         "quiver-duplicate-id",
         "a-type-index",
+        "matrix-float-rows",
+        "matrix-str-rows",
+        "matrix-float-cols",
+        "a-type-float-index",
         "model-variety-point",
         "enumerate-negative-rank",
         "codim2-negative-rank",
@@ -84,3 +95,11 @@ def test_float_matrix_entry_names_its_field(tmp_path):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == 'error: matrices.a1[0][0]: floats are not accepted, use "p/q"\n'
+
+
+def test_integer_checks_read_true_as_one():
+    # The one integer policy, errors.as_int: operator.index, so a bool is
+    # the int it subclasses.
+    assert RatMatrix(True, 2, [1, 2]) == RatMatrix(1, 2, [1, 2])
+    assert type(RatMatrix(True, True, [3]).rows) is int
+    assert str(SingularityType.a_type(True)) == "A1"
