@@ -17,7 +17,7 @@ import sys
 
 from . import degeneration as dg
 from . import formats
-from .errors import Error, ParseError
+from .errors import Error, ParseError, as_positive
 from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap, ext1_dim, euler_form, hom_dim
 from .singularity import annotate, classify, scan_rows
 from .windows import decompose_nilpotent, realize
@@ -122,8 +122,7 @@ def cmd_hasse(args):
     """Hasse diagram of the degeneration order for one dimension vector."""
     rank, dim_raw = args.rank, args.dim_raw
     dims = _parse_dims("--dim", dim_raw)
-    if rank < 1:
-        raise ParseError("--n must be at least 1")
+    as_positive("--n", rank)
     check_cap("--n", rank, MAX_RANK)
     if len(dims) != rank or any(x < 0 for x in dims):
         raise ParseError(
@@ -149,9 +148,8 @@ def cmd_scan(args):
     cycle preserve every row, so each row is computed once per rotation
     orbit and shared by the orbit's other vectors.
     """
-    max_n, max_dim = args.max_n, args.max_dim
-    if max_n < 1 or max_dim < 1:
-        raise ParseError("--max-n and --max-dim must be at least 1")
+    max_n = as_positive("--max-n", args.max_n)
+    max_dim = as_positive("--max-dim", args.max_dim)
     check_cap("--max-n", max_n, MAX_RANK)
     check_cap("--max-dim", max_dim, MAX_TOTAL_DIM)
     row = "{:>3} {:<12} {:>8} {:>7} {:>6} {:>6} {:>6}".format

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 from operator import and_, getitem, itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import NotADegeneration, ParseError, as_int
+from .errors import NotADegeneration, ParseError, as_int, as_positive
 from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
 from .windows import (
     Window,
@@ -182,13 +182,11 @@ def _dim_vector(n: int, d: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """(n, d) as an int and a tuple of n nonnegative integers within the caps
     of reps.
 
-    The rank and each entry go through errors.as_int, so a float or a string is
-    rejected and True reads as 1. The rank is checked first, at least 1 and
-    within its cap, and the total last.
+    The rank goes through errors.as_positive and each entry through as_int,
+    so a float or a string is rejected and True reads as 1. The rank is
+    checked first, at least 1 and within its cap, and the total last.
     """
-    n = as_int("rank", n)
-    if n < 1:
-        raise ParseError("cyclic rank must be at least 1")
+    n = as_positive("cyclic rank", n)
     check_cap("rank", n, MAX_RANK)
     entries = [as_int("dimension vector entry", x) for x in d]
     if len(entries) != n:
@@ -407,7 +405,7 @@ def codim2_pairs(n: int, d: Sequence[int]):
 
 
 def _node_label(ms: WindowMultiset) -> str:
-    if ms.is_empty():
+    if not ms.windows:
         return "0"
     return "+".join(f"[{w.i},{w.j}]" for w in ms.windows)
 

@@ -5,7 +5,7 @@ malformed or ill-fitting input (2), nilpotency violations (3), order
 violations (4) and scope violations (5). An error whose exit_code is None
 signals a bug and ends in a traceback. Every check in the library raises one
 of these classes; none raises ValueError or TypeError. as_int is the one
-integer check they share.
+integer check they share, and as_positive the one at-least-1 check.
 """
 
 import operator
@@ -53,3 +53,11 @@ def as_int(field: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ParseError(f"{field} {value!r} is not an integer") from None
+
+
+def as_positive(field: str, value) -> int:
+    """value read by as_int, checked to be at least 1."""
+    value = as_int(field, value)
+    if value < 1:
+        raise ParseError(f"{field} must be at least 1")
+    return value

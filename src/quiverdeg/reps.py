@@ -9,6 +9,7 @@ path algebras are hereditary.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -32,18 +33,29 @@ class Quiver(namedtuple("Quiver", "vertex_count arrows")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, vertex_count: int, arrows: Sequence[Arrow]) -> "Quiver":
-        if not isinstance(vertex_count, int) or vertex_count < 0:
+        count = _index(vertex_count)
+        if count is None or count < 0:
             raise ParseError(f"vertex count {vertex_count!r} is not a nonnegative integer")
-        arrows = tuple(arrows)
-        seen = set()
+        checked, seen = [], set()
         for a in arrows:
-            for end, v in (("source", a.source), ("target", a.target)):
-                if not isinstance(v, int) or not 1 <= v <= vertex_count:
+            ends = _index(a.source), _index(a.target)
+            for end, v, x in zip(("source", "target"), (a.source, a.target), ends):
+                if x is None or not 1 <= x <= count:
                     raise ParseError(f"arrow {a.name!r} has {end} {v!r} out of range")
             if a.name in seen:
                 raise ParseError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
-        return tuple.__new__(cls, (vertex_count, arrows))
+            checked.append(Arrow(a.name, *ends))
+        return tuple.__new__(cls, (count, tuple(checked)))
+
+
+def _index(value) -> int | None:
+    """value by operator.index, as in errors.as_int, or None (Quiver's messages
+    name the range as well)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 class Representation(namedtuple("Representation", "quiver dims matrices")):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError, as_int
+from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError, as_int, as_positive
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs
 from .linalg import parse_rational
 from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
@@ -41,10 +41,7 @@ class SingularityType(NamedTuple):
 
     @classmethod
     def a_type(cls, r: int) -> "SingularityType":
-        r = as_int("A-type index", r)
-        if r < 1:
-            raise ParseError("A-type index must be at least 1")
-        return cls("A", r)
+        return cls("A", as_positive("A-type index", r))
 
     @classmethod
     def unresolved(cls) -> "SingularityType":
@@ -375,8 +372,9 @@ def scan_rows(max_n: int, max_dim: int):
     since enumerate_nilpotent lists the classes in lexicographic order of
     their (i, j) lists and no class of one vector is a prefix of another.
 
-    Both bounds are checked against their caps before the first row.
+    Both bounds are read by as_int and checked against their caps first.
     """
+    max_n, max_dim = as_int("rank", max_n), as_int("total dimension", max_dim)
     check_cap("rank", max_n, MAX_RANK)
     check_cap("total dimension", max_dim, MAX_TOTAL_DIM)
     memo: dict = {}
@@ -422,9 +420,7 @@ def model_variety_membership(kind: str, r: int, point: Sequence) -> bool:
     kind "A": points (x, y, z) with x^r = y z. kind "C": points
     (x_0, ..., x_r) with x_i x_j = x_l x_m whenever i + j = l + m.
     """
-    r = as_int("model variety index", r)
-    if r < 1:
-        raise ParseError("model variety index must be at least 1")
+    r = as_positive("model variety index", r)
     kind = kind.upper()
     coords = [parse_rational(x) for x in point]
     if kind == "A":

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterable, Sequence
 
-from .errors import Inconsistent, NotNilpotent, ParseError, as_int
+from .errors import Inconsistent, NotNilpotent, ParseError, as_int, as_positive
 from .linalg import RatMatrix
 from .reps import MAX_TOTAL_DIM, Arrow, Quiver, Representation, check_cap
 
@@ -60,10 +60,8 @@ class Window(namedtuple("Window", "n i j")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, i: int, j: int) -> "Window":
-        n = as_int("cyclic rank", n)
+        n = as_positive("cyclic rank", n)
         i, j = as_int("window endpoint", i), as_int("window endpoint", j)
-        if n < 1:
-            raise ParseError("cyclic rank must be at least 1")
         if i > j:
             raise ParseError(f"window ({i},{j}) has i > j")
         return tuple.__new__(cls, _canonical(n, i, j))
@@ -83,18 +81,13 @@ class SimpleMultiset(namedtuple("SimpleMultiset", "n counts")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, counts: Sequence[int]) -> "SimpleMultiset":
-        n = as_int("cyclic rank", n)
-        if n < 1:
-            raise ParseError("cyclic rank must be at least 1")
+        n = as_positive("cyclic rank", n)
         counts = tuple(as_int("multiplicity", c) for c in counts)
         if len(counts) != n:
             raise ParseError(f"expected {n} residue counts, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ParseError("multiplicities must be nonnegative")
         return tuple.__new__(cls, (n, counts))
-
-    def count(self, residue_index: int) -> int:
-        return self.counts[residue_index - 1]
 
     # Test oracle: the socle round-trip checks quotient at these residues.
     def residues(self) -> set[int]:
@@ -111,9 +104,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
     __add__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, n: int, windows: Iterable = ()) -> "WindowMultiset":
-        n = as_int("cyclic rank", n)
-        if n < 1:
-            raise ParseError("cyclic rank must be at least 1")
+        n = as_positive("cyclic rank", n)
         items: list[Window] = []
         for w in windows:
             if not isinstance(w, Window):
@@ -127,9 +118,6 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
         # Every window has rank n, so tuple order is (i, j) order.
         items.sort()
         return tuple.__new__(cls, (n, tuple(items)))
-
-    def is_empty(self) -> bool:
-        return not self.windows
 
     def summand_count(self) -> int:
         return len(self.windows)
@@ -174,9 +162,7 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
 
 def cyclic_quiver(n: int) -> Quiver:
     """The rank-n cyclic quiver: arrow a<v> from vertex v to v-1 (1 wraps to n)."""
-    n = as_int("cyclic rank", n)
-    if n < 1:
-        raise ParseError("cyclic rank must be at least 1")
+    n = as_positive("cyclic rank", n)
     arrows = tuple(
         Arrow(f"a{v}", v, residue(v - 1, n)) for v in range(1, n + 1)
     )
@@ -351,7 +337,7 @@ def reconstruct_from_socle_quotient(
         entries.append(grown)
         used[grown.i - 1] += 1
     for r in range(1, n + 1):
-        remaining = u.count(r) - used[r - 1]
+        remaining = u.counts[r - 1] - used[r - 1]
         if remaining < 0:
             raise Inconsistent(
                 f"socle multiplicity at residue {r} is too small for the quotient"

@@ -761,3 +761,11 @@ def test_negative_rank_ends_in_one_error_line():
     result = invoke(["hasse", "--n", "-1", "--dim=1"])
     assert result.exit_code == 2
     assert result.output == "error: --n must be at least 1\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-dim"])
+def test_scan_bound_below_one_names_its_flag(flag):
+    result = invoke(["scan", flag, "0"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {flag} must be at least 1\n"

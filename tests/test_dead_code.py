@@ -11,8 +11,9 @@ suite. References are matched by name: a function by any read of its name,
 a method only by an attribute access `x.name`, and not by `self.name` inside
 a class with no method of that name (that reads the class's own field).
 No decorator exempts a definition: the CLI commands are reached by name
-from its parser. The size caps are assigned only in reps.py, and only
-reps.check_cap formats a cap message. Only the functions of UNCHECKED build
+from its parser. The size caps are assigned only in reps.py, only
+reps.check_cap formats a cap message, and only errors.as_positive formats
+an at-least-1 message. Only the functions of UNCHECKED build
 a named tuple with `_make`, and `tuple.__new__` is read only in a `__new__`.
 No check raises ValueError or TypeError: every one raises a class of
 quiverdeg.errors.
@@ -324,13 +325,20 @@ def size_policy_breaches(sources) -> list[str]:
             and node.id in CAPS
             and name != "reps.py"
         )
-        functions = _functions(tree)
-        for lineno, line in enumerate(source.splitlines(), 1):
-            if "exceeds the cap of" not in line:
-                continue
-            if (name, _owner(functions, lineno)) != ("reps.py", "check_cap"):
-                breaches.append(f"{name}:{lineno}: cap message outside check_cap")
+        stray = _stray_lines(name, source, "exceeds the cap of", "reps.py", "check_cap")
+        breaches.extend(f"{name}:{lineno}: cap message outside check_cap" for lineno in stray)
     return breaches
+
+
+def _stray_lines(name, source, text, home, helper) -> list[int]:
+    """Lines of module name that hold text outside the function helper of
+    module home."""
+    functions = _functions(ast.parse(source))
+    return [
+        lineno
+        for lineno, line in enumerate(source.splitlines(), 1)
+        if text in line and (name, _owner(functions, lineno)) != (home, helper)
+    ]
 
 
 def _functions(tree) -> list:
@@ -374,6 +382,40 @@ def test_size_policy_gate_flags_a_second_declaration_and_check():
         f"cli.py:{len(cli.splitlines())}: cap message outside check_cap",
         f"formats.py:{len(formats.splitlines())}: assigns MAX_RANK",
         f"formats.py:{inline_line}: cap message outside check_cap",
+    ]
+
+
+def at_least_one_breaches(sources) -> list[str]:
+    """`must be at least 1` messages outside errors.as_positive."""
+    breaches = []
+    for name, source in sorted(sources.items()):
+        stray = _stray_lines(name, source, "must be at least 1", "errors.py", "as_positive")
+        breaches.extend(f"{name}:{lineno}: at-least-1 message outside as_positive" for lineno in stray)
+    return breaches
+
+
+def test_at_least_one_is_checked_by_one_helper():
+    breaches = at_least_one_breaches(SOURCES)
+    assert not breaches, breaches
+
+
+def test_at_least_one_gate_flags_an_inline_check():
+    # cmd_hasse's inline check as it stood, and a second copy in errors.py
+    # outside as_positive.
+    checked = '    as_positive("--n", rank)\n'
+    inline = '    if rank < 1:\n        raise ParseError("--n must be at least 1")\n'
+    assert SOURCES["cli.py"].count(checked) == 1
+    cli = SOURCES["cli.py"].replace(checked, inline)
+    planted = cli.splitlines().index(inline.splitlines()[1]) + 1
+    errors = SOURCES["errors.py"] + (
+        "def as_rank(value):\n"
+        "    if value < 1:\n"
+        '        raise ParseError("cyclic rank must be at least 1")\n'
+    )
+    sources = dict(SOURCES, **{"cli.py": cli, "errors.py": errors})
+    assert at_least_one_breaches(sources) == [
+        f"cli.py:{planted}: at-least-1 message outside as_positive",
+        f"errors.py:{len(errors.splitlines())}: at-least-1 message outside as_positive",
     ]
 
 
@@ -459,8 +501,8 @@ def test_every_check_raises_a_quiverdeg_error():
 
 
 def test_error_gate_flags_a_builtin_raise():
-    # SingularityType.a_type's check as it stood, and a bare TypeError.
-    checked = '            raise ParseError("A-type index must be at least 1")\n'
+    # model_variety_membership's unknown-kind check, and a bare TypeError.
+    checked = '    raise ParseError(f"unknown model variety kind {kind!r}")\n'
     assert SOURCES["singularity.py"].count(checked) == 1
     singularity = SOURCES["singularity.py"].replace(
         checked, checked.replace("ParseError", "ValueError")

@@ -837,8 +837,9 @@ def test_library_calls_past_a_size_cap_raise_before_any_table_is_built():
     ids=["enumerate-float", "hasse-str"],
 )
 def test_library_rank_must_be_an_integer(build, n, d):
-    # The rank goes through reps.as_int like the entries of d, so a float
-    # or a string is a ParseError rather than a TypeError from the tables.
+    # The rank goes through errors.as_positive, which reads it by as_int
+    # like the entries of d, so a float or a string is a ParseError rather
+    # than a TypeError from the tables.
     with pytest.raises(ParseError, match=f"rank {n!r} is not an integer"):
         build(n, d)
 

@@ -14,7 +14,7 @@ from quiverdeg.degeneration import codim2_pairs, enumerate_nilpotent
 from quiverdeg.errors import ParseError
 from quiverdeg.linalg import RatMatrix, parse_rational
 from quiverdeg.reps import Arrow, Quiver
-from quiverdeg.singularity import SingularityType, model_variety_membership
+from quiverdeg.singularity import SingularityType, model_variety_membership, scan_rows
 
 from cli_runner import invoke
 
@@ -54,6 +54,11 @@ from cli_runner import invoke
         (lambda: enumerate_nilpotent(-1, []), "cyclic rank must be at least 1"),
         (lambda: codim2_pairs(-2, ()), "cyclic rank must be at least 1"),
         (lambda: enumerate_nilpotent(0, ()), "cyclic rank must be at least 1"),
+        # scan_rows passed its bounds to range() and the cap comparison
+        # unread, which raised TypeError.
+        (lambda: next(scan_rows(2.5, 3)), "rank 2.5 is not an integer"),
+        (lambda: next(scan_rows(2, 3.0)), "total dimension 3.0 is not an integer"),
+        (lambda: next(scan_rows("3", 3)), "rank '3' is not an integer"),
     ],
     ids=[
         "rational-text",
@@ -73,6 +78,9 @@ from cli_runner import invoke
         "enumerate-negative-rank",
         "codim2-negative-rank",
         "enumerate-rank-zero",
+        "scan-float-rank",
+        "scan-float-total",
+        "scan-str-rank",
     ],
 )
 def test_library_checks_raise_parse_error(build, message):

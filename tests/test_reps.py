@@ -145,6 +145,16 @@ def test_quiver_rejects_non_integer_arrow_endpoints():
     assert Quiver(2, [Arrow("a", 1, 2)]).arrows == (Arrow("a", 1, 2),)
 
 
+def test_quiver_reads_true_as_one_and_round_trips():
+    # Quiver stored True as its vertex count and arrow ends, so rep_to_obj
+    # wrote "vertex_count": true and rep_from_obj rejected its own file.
+    quiver = Quiver(True, [Arrow("a", True, True)])
+    assert quiver == Quiver(1, [Arrow("a", 1, 1)])
+    assert type(quiver.vertex_count) is type(quiver.arrows[0].source) is int
+    rep = Representation(quiver, [True], [matrix_from_rows([[0]])])
+    assert formats.rep_from_obj(formats.rep_to_obj(rep)) == rep
+
+
 def test_euler_form_matches_hom_minus_ext(rng):
     for n in (1, 2, 3):
         for _ in range(6):

@@ -198,7 +198,7 @@ def test_classify_equal_pair_cancels_to_empty():
     result, trace = classify(m, m)
     assert result == SingularityType.reg()
     assert [s.kind for s in trace.steps] == ["cancel"]
-    assert trace.steps[0].m.is_empty()
+    assert not trace.steps[0].m.windows
 
 
 def test_classify_rejects_non_degeneration():
