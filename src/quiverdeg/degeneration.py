@@ -67,13 +67,16 @@ def degenerates(m: WindowMultiset, nn: WindowMultiset) -> bool:
 
     The rank order (Kempken 1982; see the module docstring) on keys built
     alone, not off _tables, whose one cached total a lone class would evict.
-    guards has 0x80 in each byte. A rank is at most total <= 40 < 128, so
-    byte by byte the subtraction gives 0x80 + a - b, never borrows, and
-    keeps the guard iff a >= b. Bytes t = 0 hold the dimension vectors:
-    entries no smaller in m with equal totals are equal.
+    The rank and total are checked against their caps before the n * (total
+    + 1) bytes of guards and keys are built. guards has 0x80 in each byte. A
+    rank is at most total <= 40 < 128, so byte by byte the subtraction gives
+    0x80 + a - b, never borrows, and keeps the guard iff a >= b. Bytes t = 0
+    hold the dimension vectors: entries no smaller in m with equal totals
+    are equal.
     """
     if m.n != nn.n:
         raise ParseError("multisets have different ranks")
+    check_cap("rank", m.n, MAX_RANK)
     total = m.total_dim()
     check_cap("total dimension", total, MAX_TOTAL_DIM)
     if total != nn.total_dim():

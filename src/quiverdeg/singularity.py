@@ -21,11 +21,11 @@ from __future__ import annotations
 from itertools import groupby
 from typing import NamedTuple, Sequence
 
-from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError, as_int, as_positive
+from .errors import Inconsistent, NotADegeneration, OutOfScope, ParseError, as_positive
 from .degeneration import HasseDiagram, HasseEdge, codim, codim2_pairs
 from .linalg import parse_rational
 from .reps import MAX_RANK, MAX_TOTAL_DIM, check_cap
-from .windows import Window, WindowMultiset, _canonical, residue
+from .windows import WindowMultiset, residue
 
 
 class SingularityType(NamedTuple):
@@ -318,13 +318,6 @@ def _scan_row(memo: dict, n: int, d: tuple[int, ...]):
     return len(nodes), (len(pairs), *kinds.values()), tuple(unresolved)
 
 
-def _rotate(ms: WindowMultiset, s: int) -> WindowMultiset:
-    """ms under the rotation v -> v + s of the cycle: [i, j] -> [i + s, j + s]."""
-    n = ms.n
-    out = sorted(Window._make(_canonical(n, i + s, j + s)) for _, i, j in ms.windows)
-    return WindowMultiset._make((n, tuple(out)))
-
-
 def scan_rows(max_n: int, max_dim: int):
     """The verdicts on all codim-2 pairs, one row per dimension vector.
 
@@ -339,11 +332,12 @@ def scan_rows(max_n: int, max_dim: int):
 
     The row is computed once per rotation orbit. The rotation rho_s: v ->
     v + s is an automorphism of the cycle; on windows it is [i, j] -> [i + s,
-    j + s], and it sends the classes of d to those of d rotated s places. It
-    relabels vertices, so it keeps the rank of every composite (read at the
-    rotated vertex) and every Hom dimension: it preserves the degeneration
-    order and codimension and maps the codim-2 pairs of d one to one onto
-    those of rho_s d. classify's verdict commutes with it, move by move:
+    j + s] (WindowMultiset.rotated), and it sends the classes of d to those
+    of d rotated s places. It relabels vertices, so it keeps the rank of
+    every composite (read at the rotated vertex) and every Hom dimension: it
+    preserves the degeneration order and codimension and maps the codim-2
+    pairs of d one to one onto those of rho_s d. classify's verdict commutes
+    with it, move by move:
 
     - cancel_common(rho M, rho N) = rho cancel_common(M, N), since rho is
       one to one on windows.
@@ -372,9 +366,9 @@ def scan_rows(max_n: int, max_dim: int):
     since enumerate_nilpotent lists the classes in lexicographic order of
     their (i, j) lists and no class of one vector is a prefix of another.
 
-    Both bounds are read by as_int and checked against their caps first.
+    Both bounds are read by as_positive and checked against their caps first.
     """
-    max_n, max_dim = as_int("rank", max_n), as_int("total dimension", max_dim)
+    max_n, max_dim = as_positive("rank", max_n), as_positive("total dimension", max_dim)
     check_cap("rank", max_n, MAX_RANK)
     check_cap("total dimension", max_dim, MAX_TOTAL_DIM)
     memo: dict = {}
@@ -389,7 +383,7 @@ def scan_rows(max_n: int, max_dim: int):
                 classes, counts, unresolved = rows[first]
                 if shift:
                     unresolved = tuple(sorted(
-                        (_rotate(m, shift), _rotate(nn, shift)) for m, nn in unresolved
+                        (m.rotated(shift), nn.rotated(shift)) for m, nn in unresolved
                     ))
                 yield n, d, classes, counts, unresolved
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotNilpotent, ParseError, as_int, as_positive
 from .linalg import RatMatrix
-from .reps import MAX_TOTAL_DIM, Arrow, Quiver, Representation, check_cap
+from .reps import MAX_RANK, MAX_TOTAL_DIM, Arrow, Quiver, Representation, check_cap
 
 
 def residue(value: int, n: int) -> int:
@@ -46,6 +46,13 @@ def _canonical(n: int, i: int, j: int) -> tuple[int, int, int]:
     """(n, i, j) shifted by the multiple of n that puts i in 1..n; no checks."""
     shift = residue(i, n) - i
     return n, i + shift, j + shift
+
+
+def _remapped(n: int, ends: Iterable[tuple[int, int]]) -> "WindowMultiset":
+    """The rank-n class of the (i, j) pairs in ends, each mapped from a window
+    of a checked class: shifted by _canonical, sorted and built with _make."""
+    out = sorted(Window._make(_canonical(n, i, j)) for i, j in ends)
+    return WindowMultiset._make((n, tuple(out)))
 
 
 class Window(namedtuple("Window", "n i j")):
@@ -141,19 +148,18 @@ class WindowMultiset(namedtuple("WindowMultiset", "n windows")):
         present = {w.i for w in self.windows}
         if not sel <= present:
             raise ParseError(f"residues {sorted(sel - present)} not present in socle")
-        n, out = self.n, []
-        for w in self.windows:
-            if w.i not in sel:
-                out.append(w)
-            elif w.length > 1:
-                out.append(Window._make(_canonical(n, w.i + 1, w.j)))
-        return WindowMultiset._make((n, tuple(sorted(out))))
+        kept = [(i, j) for _, i, j in self.windows if i not in sel]
+        cut = [(i + 1, j) for _, i, j in self.windows if i in sel and i < j]
+        return _remapped(self.n, kept + cut)
 
     def dual(self) -> "WindowMultiset":
         """Class of the dual representation: each window (i, j) becomes (-j, -i)."""
-        n = self.n
-        out = sorted(Window._make(_canonical(n, -j, -i)) for _, i, j in self.windows)
-        return WindowMultiset._make((n, tuple(out)))
+        return _remapped(self.n, ((-j, -i) for _, i, j in self.windows))
+
+    def rotated(self, s: int) -> "WindowMultiset":
+        """Class under the rotation v -> v + s: (i, j) becomes (i + s, j + s)."""
+        s = as_int("rotation", s)
+        return _remapped(self.n, ((i + s, j + s) for _, i, j in self.windows))
 
     def __repr__(self) -> str:
         inner = ",".join(repr(w) for w in self.windows)
@@ -192,6 +198,7 @@ def realize(ms: WindowMultiset) -> Representation:
     out of vertex v sends the vector for index l to the vector for l-1 and
     kills each window's bottom index. All matrices are 0/1 block shifts.
     """
+    check_cap("rank", ms.n, MAX_RANK)
     check_cap("total dimension", ms.total_dim(), MAX_TOTAL_DIM)
     n = ms.n
     dims = [0] * n
@@ -237,8 +244,12 @@ def rank_key(ms: WindowMultiset, steps: int) -> int:
     maps from v. It sends index l = v (mod n) of a window [i, j] to l - t,
     or to zero when l - t < i, so l adds a run of 0x01 bytes, t = 0 ..
     min(l - i, steps), to its residue's row. A byte is at most the total,
-    which every caller caps at MAX_TOTAL_DIM = 40, so none carries.
+    which every caller caps at MAX_TOTAL_DIM = 40, so none carries. The
+    rank and steps are checked against their caps (steps is at most the
+    total plus one) before the key is built: it spans n * (steps + 1) bytes.
     """
+    check_cap("rank", ms.n, MAX_RANK)
+    check_cap("steps", steps, MAX_TOTAL_DIM + 1)
     key = 0
     for _, i, j in ms.windows:
         run = 0

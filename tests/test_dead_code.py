@@ -15,6 +15,7 @@ from its parser. The size caps are assigned only in reps.py, only
 reps.check_cap formats a cap message, and only errors.as_positive formats
 an at-least-1 message. Only the functions of UNCHECKED build
 a named tuple with `_make`, and `tuple.__new__` is read only in a `__new__`.
+No module imports or reads another module's `_private` names.
 No check raises ValueError or TypeError: every one raises a class of
 quiverdeg.errors.
 """
@@ -419,13 +420,70 @@ def test_at_least_one_gate_flags_an_inline_check():
     ]
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads_across_modules(sources) -> list[str]:
+    """`from .x import _name` and reads of `<module>._name`, where <module>
+    is another module of the package bound by `from . import x [as y]`: a
+    module's private names are its own."""
+    found = []
+    for name, source in sorted(sources.items()):
+        modules = {}  # local name -> module of the package
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if (node.level and node.module is None) or node.module == "quiverdeg":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.level or node.module.startswith("quiverdeg."):
+                origin = "." * node.level + node.module
+                found.extend(
+                    (name, node.lineno, f"imports {a.name} from {origin}")
+                    for a in node.names
+                    if _is_private(a.name)
+                )
+        found.extend(
+            (name, node.lineno, f"reads {modules[node.value.id]}.{node.attr}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        )
+    return [f"{name}:{lineno}: {what}" for name, lineno, what in sorted(found)]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = private_reads_across_modules(SOURCES)
+    assert not found, found
+
+
+def test_private_gate_flags_a_cross_module_read():
+    # singularity's import of windows._canonical as it stood when it built
+    # rotated classes itself, and a read of degeneration._tables through
+    # cli's alias dg.
+    imported = "from .windows import WindowMultiset, residue"
+    planted = "from .windows import Window, WindowMultiset, _canonical, residue"
+    assert SOURCES["singularity.py"].count(imported + "\n") == 1
+    singularity = SOURCES["singularity.py"].replace(imported + "\n", planted + "\n")
+    lineno = singularity.splitlines().index(planted) + 1
+    cli = SOURCES["cli.py"] + "def _windows(n, total):\n    return dg._tables(n, total).windows\n"
+    sources = dict(SOURCES, **{"cli.py": cli, "singularity.py": singularity})
+    assert private_reads_across_modules(sources) == [
+        f"cli.py:{len(cli.splitlines())}: reads degeneration._tables",
+        f"singularity.py:{lineno}: imports _canonical from .windows",
+    ]
+
+
 # The functions that build values derived from checked ones with _make,
 # skipping the checks of __new__: each result must equal what the checked
 # constructor returns (test_derived_values_equal_their_checked_construction).
 UNCHECKED = {
     "degeneration.py": {"_walk", "_tables"},
-    "singularity.py": {"cancel_common", "_rotate"},
-    "windows.py": {"socle", "quotient_by_socle", "dual"},
+    "singularity.py": {"cancel_common"},
+    "windows.py": {"socle", "_remapped"},
 }
 
 

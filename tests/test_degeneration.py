@@ -34,6 +34,8 @@ from quiverdeg.windows import (
     Window,
     WindowMultiset,
     multiset_hom_dim,
+    rank_key,
+    realize,
     residue,
 )
 
@@ -245,6 +247,34 @@ def test_degenerates_and_codim_check_the_total_cap():
                 call(big, nn)
             assert str(caught.value) == "total dimension 41 exceeds the cap of 40"
     assert not degenerates(WindowMultiset(1, [(1, 40)]), big)
+
+
+WIDE = WindowMultiset(MAX_RANK + 1, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: degenerates(WIDE, WIDE), "rank 41 exceeds the cap of 40"),
+        (lambda: codim(WIDE, WIDE), "rank 41 exceeds the cap of 40"),
+        (lambda: classify(WIDE, WIDE), "rank 41 exceeds the cap of 40"),
+        (lambda: realize(WIDE), "rank 41 exceeds the cap of 40"),
+        (lambda: rank_key(WIDE, 1), "rank 41 exceeds the cap of 40"),
+        (
+            lambda: rank_key(WindowMultiset(2, [(1, 2)]), MAX_TOTAL_DIM + 2),
+            "steps 42 exceeds the cap of 41",
+        ),
+    ],
+    ids=["degenerates", "codim", "classify", "realize", "rank-key", "rank-key-steps"],
+)
+def test_rank_and_steps_are_capped_before_anything_of_width_n_is_built(call, message):
+    # The guards and keys of degenerates span n * (total + 1) bytes, realize
+    # builds n matrices and rank_key shifts by 8 * (steps + 1) bits a
+    # residue, so a total check alone lets rank 10**9, or 2 * 10**9 steps,
+    # run out of memory.
+    with pytest.raises(ParseError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 def test_lone_classes_leave_the_shared_tables_alone():

@@ -15,6 +15,7 @@ from quiverdeg.errors import ParseError
 from quiverdeg.linalg import RatMatrix, parse_rational
 from quiverdeg.reps import Arrow, Quiver
 from quiverdeg.singularity import SingularityType, model_variety_membership, scan_rows
+from quiverdeg.windows import WindowMultiset
 
 from cli_runner import invoke
 
@@ -59,6 +60,10 @@ from cli_runner import invoke
         (lambda: next(scan_rows(2.5, 3)), "rank 2.5 is not an integer"),
         (lambda: next(scan_rows(2, 3.0)), "total dimension 3.0 is not an integer"),
         (lambda: next(scan_rows("3", 3)), "rank '3' is not an integer"),
+        # A bound below 1 gave an empty range, so scan_rows yielded nothing.
+        (lambda: next(scan_rows(0, 3)), "rank must be at least 1"),
+        (lambda: next(scan_rows(3, 0)), "total dimension must be at least 1"),
+        (lambda: WindowMultiset(2, [(1, 2)]).rotated(1.5), "rotation 1.5 is not an integer"),
     ],
     ids=[
         "rational-text",
@@ -81,6 +86,9 @@ from cli_runner import invoke
         "scan-float-rank",
         "scan-float-total",
         "scan-str-rank",
+        "scan-rank-zero",
+        "scan-total-zero",
+        "rotated-float-shift",
     ],
 )
 def test_library_checks_raise_parse_error(build, message):

@@ -382,13 +382,14 @@ def _assert_derived_checked(m, shifts):
         for chosen in itertools.combinations(residues, k):
             _assert_checked(m.quotient_by_socle(chosen))
     for s in shifts:
-        _assert_checked(singularity._rotate(m, s))
+        _assert_checked(m.rotated(s))
 
 
 def test_derived_values_equal_their_checked_construction():
-    # enumerate_nilpotent (its _walk and _tables), cancel_common, socle,
-    # dual, quotient_by_socle and _rotate build their results with _make and
-    # skip the checks of __new__; each must still give the checked value.
+    # enumerate_nilpotent (its _walk and _tables), cancel_common, socle and
+    # windows._remapped (behind dual, quotient_by_socle and rotated) build
+    # their results with _make and skip the checks of __new__; each must
+    # still give the checked value.
     rng = random.Random(28)
     for n, total in [(n, total) for n in (1, 2, 3) for total in range(1, 9)] + [(40, 3)]:
         t = degeneration._tables.__wrapped__(n, total)
@@ -411,6 +412,16 @@ def test_derived_values_equal_their_checked_construction():
                     for x in cancel_common(m, nn):
                         _assert_checked(x)
     assert classes == 2152
+    for m, nn, shifts in _random_rank_40_pairs(rng):
+        assert m.total_dim() == nn.total_dim() == 40
+        _assert_derived_checked(m, shifts)
+        for x in cancel_common(m, nn) + cancel_common(m, m):
+            _assert_checked(x)
+
+
+def _random_rank_40_pairs(rng):
+    """50 pairs of random rank-40 classes of total 40, each pair with five
+    random shifts drawn after it."""
     for _ in range(50):
         pairs = []
         for _ in range(2):
@@ -419,19 +430,52 @@ def test_derived_values_equal_their_checked_construction():
             starts = [rng.randint(-80, 80) for _ in lengths]
             pairs.append([(i, i + k - 1) for i, k in zip(starts, lengths)])
         m, nn = (WindowMultiset(40, p) for p in pairs)
-        assert m.total_dim() == nn.total_dim() == 40
-        _assert_derived_checked(m, (rng.randint(-100, 100) for _ in range(5)))
-        for x in cancel_common(m, nn) + cancel_common(m, m):
-            _assert_checked(x)
+        yield m, nn, [rng.randint(-100, 100) for _ in range(5)]
+
+
+def _assert_cycle_identities(m, shifts):
+    """The identities of the rotations rho_s that scan_rows' proof uses, on m."""
+    assert m.rotated(0) == m.rotated(m.n) == m, m
+    for s in shifts:
+        turned = m.rotated(s)
+        assert turned == _rotate(m, s), (m, s)
+        # dual rho_s = rho_-s dual
+        assert turned.dual() == m.dual().rotated(-s), (m, s)
+        for t in shifts:
+            assert turned.rotated(t) == m.rotated(s + t), (m, s, t)
+
+
+def test_rotated_obeys_the_identities_of_the_scan_proof():
+    classes = 0
+    for n in (1, 2, 3):
+        shifts = range(-n, 2 * n + 1)
+        for d in _dim_vectors(n, 6):
+            for m in enumerate_nilpotent(n, d):
+                _assert_cycle_identities(m, shifts)
+                classes += 1
+    assert classes == 581
+    for m, nn, shifts in _random_rank_40_pairs(random.Random(28)):
+        _assert_cycle_identities(m, shifts)
+        _assert_cycle_identities(nn, shifts)
 
 
 def test_classify_duality_invariance():
-    pairs = list(_all_codim2_pairs(2, (2, 2))) + list(_all_codim2_pairs(1, (4,)))
-    assert pairs
-    for m, nn in pairs:
-        base, _ = classify(m, nn)
-        dualized, _ = classify(multiset_dual(m), multiset_dual(nn))
-        assert dualized == base
+    # The verdict on every codim-2 pair with n <= 3, total <= 8 is kept by
+    # the reflection (the dual, checked against the oracle) and by each of
+    # its rotations, the dihedral images m.dual().rotated(s).
+    checked = 0
+    for n in (1, 2, 3):
+        for d in _dim_vectors(n, 8):
+            nodes, pairs = codim2_pairs(n, d)
+            for a, b in pairs:
+                m, nn = nodes[a], nodes[b]
+                base, _ = classify(m, nn)
+                dm, dn = multiset_dual(m), multiset_dual(nn)
+                assert (m.dual(), nn.dual()) == (dm, dn), (m, nn)
+                for s in range(n):
+                    assert classify(dm.rotated(s), dn.rotated(s))[0] == base, (m, nn, s)
+                checked += 1
+    assert checked == 2200
 
 
 def test_trace_validity_invariants():
